@@ -45,11 +45,11 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro import settings
 from repro.core.config import RevokerKind
 from repro.core.metrics import RunResult
 from repro.perf.report import check_overwrite, git_sha
 from repro.runner import Job, ResultCache, WorkloadSpec, run_jobs
+from repro.settings import Settings
 from repro.workloads import spec
 from repro.workloads.grpc_qps import GrpcQpsWorkload
 from repro.workloads.pgbench import PgBenchWorkload
@@ -122,7 +122,7 @@ def report(name: str, text: str) -> None:
             manifest.get(name),
             sha,
             f"benchmarks/results/{name}.txt",
-            force=settings.bench_force(),
+            force=Settings.from_env().bench_force,
         )
     _atomic_write(RESULTS_DIR / f"{name}.txt", text + "\n")
     manifest[name] = sha

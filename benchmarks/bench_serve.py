@@ -2,7 +2,7 @@
 """Serving-layer benchmark: warm daemon vs process-per-request.
 
 A thin entry point over :mod:`repro.serve.bench` with the acceptance
-demo's defaults baked in: fork a daemon (2 warm workers, queue bound
+demo's defaults baked in: fork a daemon (2 job slots, queue bound
 16), push 60 mixed requests through it closed-loop, fire a 32-request
 burst of unique jobs past the admission bound (which must produce
 structured ``overloaded`` rejections, not hangs), and time 5 of the same
@@ -13,7 +13,7 @@ sections under ``detail.raw``) in the repo root and exits non-zero if
 any request fails, the burst is not rejected, or the service beats the
 spawn baseline by less than 5x. Re-recording over a report from a
 different commit requires ``--force`` (passed through, like every other
-flag, to ``repro serve-bench``). The committed baseline was produced
+flag, to ``repro serve bench``). The committed baseline was produced
 by::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --force

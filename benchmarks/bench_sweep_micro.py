@@ -15,9 +15,10 @@ targets run (:mod:`repro.perf.targets` — the standalone script and
   cache — the batched LRU/eviction arithmetic under the sweep's memory
   traffic pattern.
 
-The scalar reference is selected per-pass via ``REPRO_SCALAR=1`` (the
-same escape hatch users have); both passes run in this one process on
-freshly built, identically seeded state.
+The scalar reference is selected per-pass by patching the two fast
+methods (``Revoker._scan_page_vector``, ``Cache._touch_span``) back onto
+their reference loops; both passes run in this one process on freshly
+built, identically seeded state.
 
 Writes a schema-v1 :class:`~repro.perf.report.PerfReport` JSON (default
 ``BENCH_sweep.json`` in the repo root; per-pass wall samples under
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +43,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import PerfError  # noqa: E402
+from repro.kernel.revoker.base import Revoker  # noqa: E402
 from repro.machine.cache import Bus, Cache  # noqa: E402
 from repro.machine.costs import PAGE_BYTES  # noqa: E402
 from repro.perf.registry import WALL  # noqa: E402
@@ -104,7 +105,10 @@ def bench_stream(pages: int, reps: int) -> list[float]:
 def run_pass(
     scalar: bool, pages: int, caps_per_page: int, reps: int
 ) -> dict[str, list[float]]:
-    os.environ["REPRO_SCALAR"] = "1" if scalar else "0"
+    fast = Revoker._scan_page_vector, Cache._touch_span
+    if scalar:
+        Revoker._scan_page_vector = Revoker._scan_page_scalar
+        Cache._touch_span = Cache._touch_loop
     try:
         return {
             "scan": bench_scan(pages, caps_per_page, reps),
@@ -112,7 +116,7 @@ def run_pass(
             "stream": bench_stream(4 * pages, reps),
         }
     finally:
-        os.environ.pop("REPRO_SCALAR", None)
+        Revoker._scan_page_vector, Cache._touch_span = fast
 
 
 def main(argv: list[str] | None = None) -> int:

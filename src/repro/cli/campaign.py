@@ -67,7 +67,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.jobs is not None:
             raise ReproError(
                 "--jobs selects local worker processes; with --nodes the "
-                "daemons' own worker pools do the work"
+                "daemons' own job slots do the work"
             )
         from repro.dist import DistributedExecutor, parse_nodes
 

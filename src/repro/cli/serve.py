@@ -4,8 +4,7 @@
 ``serve bench`` is forwarded verbatim to the load generator's own
 argparse by ``main()`` (argparse.REMAINDER cannot capture leading
 ``--options``, bpo-17050), so the ``serve`` parser here only carries the
-daemon flags. The old top-level ``serve-bench`` spelling still works
-behind a one-time deprecation warning.
+daemon flags.
 """
 
 from __future__ import annotations
@@ -34,15 +33,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return SimulationServer(config).run()
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:  # pragma: no cover
-    # Reached only for a bare ``repro serve-bench`` (main() forwards
-    # anything with arguments straight to the bench parser, because
-    # argparse.REMAINDER refuses to capture leading ``--options``).
-    from repro.serve.bench import main as bench_main
-
-    return bench_main(args.bench_args)
-
-
 def register(sub: argparse._SubParsersAction) -> None:
     from repro.serve.server import DEFAULT_MAX_LINE_BYTES
 
@@ -59,12 +49,13 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 = ephemeral; printed at startup)")
     p.add_argument("--workers", type=int, default=None,
-                   help="warm worker processes (default: $REPRO_SERVE_WORKERS or 2)")
+                   help="concurrent job processes, one forked per job "
+                        "(default: $REPRO_SERVE_WORKERS or 2)")
     p.add_argument("--queue", type=int, default=None,
                    help="admission bound before 'overloaded' rejections "
                         "(default: $REPRO_SERVE_QUEUE or 64)")
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="seconds one job may hold a worker "
+                   help="seconds one job process may run "
                         "(default: $REPRO_SERVE_JOB_TIMEOUT or unlimited)")
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="seconds to finish in-flight work on shutdown")
@@ -78,7 +69,7 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "(retried requests resume from the last checkpoint; "
                         "default: $REPRO_SNAPSHOT_DIR)")
     p.add_argument("--prefix-dir", default=None,
-                   help="warm-start prefix store: workers fork sweep siblings "
+                   help="warm-start prefix store: jobs fork sweep siblings "
                         "from one shared warmup checkpoint (docs/WARMSTART.md; "
                         "default: $REPRO_PREFIX_DIR)")
     p.add_argument("--max-line-bytes", type=int, default=DEFAULT_MAX_LINE_BYTES,
@@ -86,14 +77,3 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "raise it when dist coordinators push prefix blobs "
                         "bigger than that through prefix-put)")
     p.set_defaults(fn=cmd_serve)
-
-    # Deprecated top-level spelling, kept so ``repro serve-bench`` and its
-    # --help keep working; main() pre-dispatches and warns once.
-    p = sub.add_parser(
-        "serve-bench",
-        help="deprecated alias for: repro serve bench",
-    )
-    p.add_argument("bench_args", nargs=argparse.REMAINDER,
-                   help="arguments for the load generator "
-                        "(try: repro serve bench --help)")
-    p.set_defaults(fn=cmd_serve_bench)

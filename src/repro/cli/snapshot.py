@@ -12,6 +12,7 @@ from repro.analysis import format_table
 from repro.cli._common import _check_workload_name, _kind
 from repro.core.config import RevokerKind
 from repro.errors import ReproError
+from repro.settings import Settings
 from repro.workloads import spec
 
 
@@ -26,7 +27,6 @@ def _cmd_snapshot_prefix(args: argparse.Namespace) -> int:
     from repro.snapshot.prefix import (
         PrefixStore,
         default_prefix_dir,
-        prefix_divergence_epoch,
         prefix_key,
     )
 
@@ -62,7 +62,7 @@ def _cmd_snapshot_prefix(args: argparse.Namespace) -> int:
 
     campaign = load_campaign(args.spec)
     settings.set_env("prefix_dir", str(root))
-    epoch = prefix_divergence_epoch()
+    epoch = Settings.from_env().prefix_epoch
     groups: dict = {}
     for job in campaign.expand():
         if prefix_eligible(job):

@@ -9,9 +9,11 @@ the same local result cache.
 
 How a batch flows (docs/DIST.md has the full topology discussion):
 
-1. **Local cache first.** Jobs whose fingerprint is already in the
-   local cache never touch the network; duplicate fingerprints within
-   the batch collapse to one dispatch (the ``run_jobs`` dedup contract).
+1. **The shared batch core.** A :class:`~repro.runner.batch.Batch`
+   fingerprints the jobs, answers local cache hits (they never touch the
+   network), collapses duplicate fingerprints to one dispatch, holds
+   warm-start groups behind their leader, and settles every outcome —
+   the same core the local pool drives.
 2. **Consistent-hash routing.** Every remaining job routes by its
    content fingerprint through a :class:`~repro.dist.ring.HashRing`, so
    reruns land on the same nodes and each node's result cache and
@@ -24,21 +26,23 @@ How a batch flows (docs/DIST.md has the full topology discussion):
    ring; its queued jobs rehash to the survivors and its in-flight job
    is re-dispatched with its attempt count bumped. A job that fails
    ``max_attempts`` times — or finds no live node — becomes a terminal
-   failure: recorded, counted by ``progress.job_failed``, and raised as
-   :class:`CampaignJobError` only after every other job settles. A
+   failure, raised as :class:`~repro.runner.batch.CampaignJobError` only
+   after every other job settles. A
    *deterministic* job error (the daemon's ``job-failed`` /
    ``invalid-job`` codes) is terminal immediately — the simulation is
    deterministic, so a retry would fail identically.
 5. **Rejoin.** A monitor thread keeps pinging dead nodes; one that
    answers again is re-absorbed into the ring and its dispatcher
    restarted, so a bounced daemon picks work back up mid-campaign.
-6. **Warm-start lifting.** With ``warm_start=True`` the prefix-gate
-   leader election from the local pool (docs/WARMSTART.md) runs at the
-   coordinator: one job per prefix group dispatches first, and once it
-   settles the coordinator pulls the captured prefix off its node
-   (``prefix-fetch``) and pushes it to every other live node
+6. **Warm-start replication.** With ``warm_start=True`` the batch's
+   prefix gate (docs/WARMSTART.md) holds each group behind one leader;
+   once the leader settles the coordinator pulls the captured prefix off
+   its node (``prefix-fetch``) and pushes it to every other live node
    (``prefix-put``) before releasing the group — exactly one node pays
    the warmup, every node serves the group warm.
+
+The coordinator itself keeps only what is specific to many nodes: ring
+routing, node failover, and prefix replication.
 """
 
 from __future__ import annotations
@@ -46,16 +50,16 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.metrics import RunResult
 from repro.errors import DistError
 from repro.obs.metrics import MetricsRegistry
-from repro.runner.cache import ResultCache, job_fingerprint
-from repro.runner.campaign import Job, prefix_eligible
-from repro.runner.pool import CampaignJobError
-from repro.runner.progress import CampaignProgress, env_echo
+from repro.runner.batch import Batch
+from repro.runner.cache import ResultCache
+from repro.runner.campaign import Job
+from repro.runner.progress import CampaignProgress
 from repro.runner.serialize import result_from_dict
 from repro.serve.client import (
     Overloaded,
@@ -66,6 +70,7 @@ from repro.serve.client import (
     ServerUnavailable,
 )
 from repro.serve.protocol import E_INVALID_JOB, E_JOB_FAILED
+from repro.settings import Settings
 
 #: Error codes that are properties of the *job*, not the node: the
 #: simulation is deterministic, so re-dispatching elsewhere would fail
@@ -142,20 +147,6 @@ def parse_nodes(text: str | Sequence[str]) -> list[NodeSpec]:
     return specs
 
 
-@dataclass
-class _Item:
-    """One dispatchable unit: a fingerprint-group leader job."""
-
-    index: int
-    job: Job
-    fingerprint: str
-    followers: list[int] = field(default_factory=list)
-    attempts: int = 0
-    #: Warm-start group key when this item is that group's gate leader
-    #: (its settlement releases the held siblings).
-    gate_key: str | None = None
-
-
 class _Node:
     """Coordinator-side state for one daemon."""
 
@@ -207,13 +198,9 @@ class DistributedExecutor:
         self._nodes: dict[str, _Node] = {}
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self._outstanding = 0
-        self._results: list[RunResult | None] = []
-        self._failures: list[tuple[Job, str]] = []
-        self._gates: dict[str, list[_Item]] = {}
-        self._cache: ResultCache | None = None
+        self._batch: Batch | None = None
+        self._attempts: dict[int, int] = {}
         self._timeout_s: float | None = None
-        self._progress: CampaignProgress | None = None
 
     # --- Public API -------------------------------------------------------
 
@@ -242,14 +229,8 @@ class DistributedExecutor:
         ``jobs``. See the module docstring for the full semantics."""
         from repro.dist.ring import HashRing
 
-        if progress is None:
-            progress = CampaignProgress(len(jobs), echo=env_echo())
-        self._cache = cache
         self._timeout_s = timeout_s
-        self._progress = progress
-        self._results = [None] * len(jobs)
-        self._failures = []
-        self._gates = {}
+        self._attempts = {}
         self._done = threading.Event()
         self._nodes = {spec.name: _Node(spec) for spec in self.specs}
         self._ring = HashRing()
@@ -266,44 +247,15 @@ class DistributedExecutor:
             raise DistError(
                 "no node answered a ping: " + ", ".join(sorted(alive))
             )
-        if progress.workers is None:
-            progress.workers = len(self._ring)
 
-        # Fingerprint the batch: local cache hits settle immediately,
-        # duplicate fingerprints collapse to one dispatch.
-        items: list[_Item] = []
-        by_fingerprint: dict[str, _Item] = {}
-        for index, job in enumerate(jobs):
-            fingerprint = job_fingerprint(job)
-            leader = by_fingerprint.get(fingerprint)
-            if leader is not None:
-                leader.followers.append(index)
-                continue
-            if cache is not None:
-                hit = cache.get(fingerprint)
-                if hit is not None:
-                    self._results[index] = hit
-                    progress.job_finished(
-                        job.describe(), cached=True, elapsed=0.0
-                    )
-                    self.metrics.counter("dist.cache_hits").inc()
-                    # Later duplicates of this fingerprint re-probe the
-                    # cache and hit it again — correct and simple.
-                    continue
-            item = _Item(index=index, job=job, fingerprint=fingerprint)
-            by_fingerprint[fingerprint] = item
-            items.append(item)
-
-        self._outstanding = len(items)
-        if not self._outstanding:
-            return self._finish(jobs)
-
-        # Warm-start gating: hold every prefix group behind its first
-        # item; the leader's settlement replicates the captured prefix
-        # across the ring before the group dispatches (step 6 above).
-        ready = items
+        batch = self._batch = Batch(jobs, cache=cache, progress=progress)
+        if batch.progress.workers is None:
+            batch.progress.workers = len(self._ring)
+        self.metrics.counter("dist.cache_hits").inc(batch.cache_hits)
         if self.warm_start:
-            ready = self._gate_warm_groups(items)
+            batch.gate_prefixes(Settings.from_env().prefix_epoch)
+        if batch.done:
+            return batch.finish()
 
         monitor = threading.Thread(
             target=self._monitor_loop, name="dist-monitor", daemon=True
@@ -312,8 +264,8 @@ class DistributedExecutor:
             if node.alive:
                 self._start_dispatcher(node)
         with self._lock:
-            for item in ready:
-                self._enqueue(item)
+            for index in batch.ready:
+                self._enqueue(index)
         monitor.start()
 
         self._done.wait()
@@ -324,45 +276,20 @@ class DistributedExecutor:
                 node.thread.join(timeout=10.0)
         monitor.join(timeout=self.rejoin_interval_s + 5.0)
         self._collect_node_stats()
-        return self._finish(jobs)
-
-    # --- Batch assembly ---------------------------------------------------
-
-    def _gate_warm_groups(self, items: list[_Item]) -> list[_Item]:
-        """Partition dispatchable items into gate leaders (dispatch now)
-        and held group members (dispatch when their leader settles)."""
-        from repro.snapshot.prefix import prefix_divergence_epoch, prefix_key
-
-        epoch = prefix_divergence_epoch()
-        ready: list[_Item] = []
-        for item in items:
-            if not prefix_eligible(item.job):
-                ready.append(item)
-                continue
-            key = prefix_key(item.job, epoch)
-            held = self._gates.get(key)
-            if held is None:
-                # First of its group: it leads, and its settlement
-                # opens the gate.
-                self._gates[key] = []
-                item.gate_key = key
-                ready.append(item)
-            else:
-                held.append(item)
-        return ready
+        return batch.finish()
 
     # --- Routing and dispatch ---------------------------------------------
 
-    def _enqueue(self, item: _Item) -> None:
-        """Route one item onto a live node's queue (lock held)."""
-        assert self._ring is not None
+    def _enqueue(self, index: int) -> None:
+        """Route one job onto a live node's queue (lock held)."""
+        assert self._ring is not None and self._batch is not None
         try:
-            name = self._ring.route(item.fingerprint)
+            name = self._ring.route(self._batch.fingerprints[index])
         except DistError:
-            self._settle_failure_locked(item, "no live nodes")
+            self._fail_locked(index, "no live nodes")
             return
         self.metrics.counter("dist.dispatched").inc()
-        self._nodes[name].queue.put(item)
+        self._nodes[name].queue.put(index)
 
     def _request_timeout(self) -> float:
         if self.request_timeout_s is not None:
@@ -382,6 +309,7 @@ class DistributedExecutor:
         node.thread.start()
 
     def _dispatch_loop(self, node: _Node) -> None:
+        assert self._batch is not None
         client = node.spec.client(
             request_timeout=self._request_timeout(),
             retries=2,
@@ -389,11 +317,10 @@ class DistributedExecutor:
         )
         with client:
             while True:
-                entry = node.queue.get()
-                if entry is _STOP:
+                index = node.queue.get()
+                if index is _STOP:
                     return
-                item: _Item = entry
-                payload: dict[str, Any] = {"job": item.job.to_dict()}
+                payload: dict[str, Any] = {"job": self._batch.jobs[index].to_dict()}
                 if self._timeout_s is not None:
                     payload["deadline_s"] = self._timeout_s
                 began = time.monotonic()
@@ -407,19 +334,19 @@ class DistributedExecutor:
                         # exhausted retry_after hints — treat both as
                         # terminal for this job, not for the node.
                         with self._lock:
-                            self._settle_failure_locked(item, str(exc))
+                            self._fail_locked(index, str(exc))
                     else:
                         # bad-request/oversized/unknown-verb: the node
                         # cannot take this job; shutting-down or any
                         # surprise code: the node is going away.
-                        self._node_down(node, item, str(exc))
+                        self._node_down(node, index, str(exc))
                         return
                 except (ServerUnavailable, ServeTimeout, ServeError, OSError) as exc:
-                    self._node_down(node, item, str(exc))
+                    self._node_down(node, index, str(exc))
                     return
                 else:
                     self._settle_success(
-                        node, item, response, time.monotonic() - began
+                        node, index, response, time.monotonic() - began
                     )
 
     # --- Settlement -------------------------------------------------------
@@ -427,76 +354,58 @@ class DistributedExecutor:
     def _settle_success(
         self,
         node: _Node,
-        item: _Item,
+        index: int,
         response: Mapping[str, Any],
         elapsed: float,
     ) -> None:
         envelope = response.get("result")
         if not isinstance(envelope, Mapping):
-            self._node_down(node, item, "run response carried no result")
+            self._node_down(node, index, "run response carried no result")
             return
         try:
             result = result_from_dict(envelope)
         except Exception as exc:  # undecodable: a node-side bug
-            self._node_down(node, item, f"undecodable result: {exc}")
+            self._node_down(node, index, f"undecodable result: {exc}")
             return
-        assert self._progress is not None
+        assert self._batch is not None
+        cached = bool(response.get("cached"))
         with self._lock:
-            self._results[item.index] = result
-            if self._cache is not None:
-                self._cache.put_envelope(
-                    item.fingerprint, dict(envelope), job=item.job
-                )
-            cached = bool(response.get("cached"))
             self.metrics.counter(
                 "dist.remote_cache_hits" if cached else "dist.fresh_results"
             ).inc()
-            self._progress.job_finished(
-                item.job.describe(),
-                cached=cached,
+            released = self._batch.succeed(
+                index,
+                result=result,
+                envelope=envelope,
                 elapsed=float(response.get("service_s", elapsed)),
+                cached=cached,
             )
-            for follower in item.followers:
-                self._results[follower] = result_from_dict(envelope)
-                self._progress.job_deduped(item.job.describe())
-        self._after_settle(item, node)
-
-    def _settle_failure_locked(self, item: _Item, reason: str) -> None:
-        """Record a terminal failure (lock held); the batch keeps going."""
-        assert self._progress is not None
-        self.metrics.counter("dist.terminal_failures").inc()
-        self._failures.append((item.job, reason))
-        self._progress.job_failed(item.job.describe(), reason)
-        for _ in item.followers:
-            self._failures.append((item.job, reason))
-            self._progress.job_failed(item.job.describe(), reason)
-        if item.gate_key is not None:
-            # A failed gate leader still opens its gate — the held group
-            # members dispatch cold rather than hang on a prefix that
-            # will never be captured. (No recursion risk: siblings never
-            # carry a gate_key of their own.)
-            for sibling in self._gates.pop(item.gate_key, []):
-                self._enqueue(sibling)
-        self._finish_item_locked(item)
-
-    def _finish_item_locked(self, item: _Item) -> None:
-        self._outstanding -= 1
-        if self._outstanding <= 0:
-            self._done.set()
-
-    def _after_settle(self, item: _Item, node: _Node | None) -> None:
-        """Post-settlement bookkeeping: open this item's warm gate (if
-        it led one), then count it done."""
-        if item.gate_key is not None:
-            self._open_gate(item, node)
+        if released:
+            # A gate leader: replicate its captured prefix across the
+            # ring before its group dispatches.
+            self._replicate_prefix(self._batch.gate_keys[index], node)
         with self._lock:
-            self._finish_item_locked(item)
+            self._release_locked(released)
+
+    def _fail_locked(self, index: int, reason: str) -> None:
+        """Record a terminal failure (lock held); the batch keeps going.
+        A failed gate leader still releases its group, which runs cold."""
+        assert self._batch is not None
+        self.metrics.counter("dist.terminal_failures").inc()
+        self._release_locked(self._batch.fail(index, reason))
+
+    def _release_locked(self, indices: list[int]) -> None:
+        for index in indices:
+            self._enqueue(index)
+        assert self._batch is not None
+        if self._batch.done:
+            self._done.set()
 
     # --- Failover ----------------------------------------------------------
 
-    def _node_down(self, node: _Node, inflight: _Item | None, reason: str) -> None:
+    def _node_down(self, node: _Node, inflight: int | None, reason: str) -> None:
         """Mark a node dead, rehash its backlog, retry its in-flight job."""
-        drained: list[_Item] = []
+        drained: list[int] = []
         with self._lock:
             if node.alive:
                 node.alive = False
@@ -511,25 +420,24 @@ class DistributedExecutor:
                 if entry is not _STOP:
                     drained.append(entry)
             if inflight is not None:
-                # The attempt consumed this item's turn; queued items
-                # never ran here and re-route without charge.
-                inflight.attempts += 1
+                # The attempt consumed this job's turn; queued jobs never
+                # ran here and re-route without charge.
+                self._attempts[inflight] = self._attempts.get(inflight, 0) + 1
                 self.metrics.counter("dist.failovers").inc()
                 self._retry_locked(inflight, reason)
-            for item in drained:
+            for index in drained:
                 self.metrics.counter("dist.failovers").inc()
-                self._retry_locked(item, f"node {node.spec.name} down", charge=False)
+                self._retry_locked(index, f"node {node.spec.name} down", charge=False)
 
-    def _retry_locked(self, item: _Item, reason: str, charge: bool = True) -> None:
-        assert self._progress is not None
-        if charge and item.attempts >= self.max_attempts:
-            self._settle_failure_locked(
-                item, f"failed on {item.attempts} nodes: {reason}"
-            )
+    def _retry_locked(self, index: int, reason: str, charge: bool = True) -> None:
+        assert self._batch is not None
+        attempts = self._attempts.get(index, 0)
+        if charge and attempts >= self.max_attempts:
+            self._fail_locked(index, f"failed on {attempts} nodes: {reason}")
             return
         self.metrics.counter("dist.retries").inc()
-        self._progress.job_retried(item.job.describe(), reason)
-        self._enqueue(item)
+        self._batch.progress.job_retried(self._batch.jobs[index].describe(), reason)
+        self._enqueue(index)
 
     def _monitor_loop(self) -> None:
         """Knock on dead nodes until the batch completes; a node that
@@ -555,18 +463,6 @@ class DistributedExecutor:
                         self._start_dispatcher(node)
 
     # --- Warm-start replication --------------------------------------------
-
-    def _open_gate(self, item: _Item, node: _Node | None) -> None:
-        """Replicate the gate leader's captured prefix across the ring,
-        then release the held group members for normal dispatch."""
-        assert item.gate_key is not None
-        with self._lock:
-            held = self._gates.pop(item.gate_key, [])
-        if node is not None and held:
-            self._replicate_prefix(item.gate_key, node)
-        with self._lock:
-            for sibling in held:
-                self._enqueue(sibling)
 
     def _replicate_prefix(self, key: str, source: _Node) -> None:
         """Pull the prefix blob off the capturing node and push it to
@@ -616,14 +512,3 @@ class DistributedExecutor:
                 node.stats = None
             if node.stats is not None:
                 self.node_stats[node.spec.name] = node.stats
-
-    def _finish(self, jobs: Sequence[Job]) -> list[RunResult]:
-        if self._failures:
-            job, reason = self._failures[0]
-            raise CampaignJobError(
-                f"{len(self._failures)} of {len(jobs)} jobs failed "
-                f"terminally; first: {job.describe()}: {reason}"
-            )
-        results = self._results
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]

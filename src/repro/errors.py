@@ -65,7 +65,7 @@ class DistError(ReproError):
     """The distributed campaign coordinator could not proceed (no node
     reachable at startup, malformed --nodes list, every node lost
     mid-campaign...). Per-job terminal failures raise
-    :class:`~repro.runner.pool.CampaignJobError` instead, after the
+    :class:`~repro.runner.batch.CampaignJobError` instead, after the
     rest of the batch settles."""
 
 

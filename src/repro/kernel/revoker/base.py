@@ -16,8 +16,9 @@ the page's 64 lines plus the 32 bytes of shadow bitmap it maps to.
 The granule scan runs vectorized by default (one numpy gather of the
 page's tagged bases against the shadow bitmap, one masked store to clear
 revoked tags — what a hardware sweep engine would pipeline); the original
-per-granule loop remains as the reference model behind ``REPRO_SCALAR=1``
-(see :mod:`repro.fastpath`).
+per-granule loop remains as the reference model
+(:meth:`Revoker._scan_page_scalar`) that tests/test_sweep_equivalence.py
+pins the vector scan against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Generator, Iterable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.fastpath import scalar_mode
 from repro.kernel.epoch import EpochClock
 from repro.kernel.hoards import KernelHoards, RegisterFile, ScanOutcome
 from repro.kernel.shadow import RevocationBitmap
@@ -194,10 +194,7 @@ class Revoker(abc.ABC):
         for the application — the cache-warming effect §5.6 observes.
         """
         memory = self.machine.memory
-        if scalar_mode():
-            n_tagged, revoked = self._scan_page_scalar(memory, pte.vpn)
-        else:
-            n_tagged, revoked = self._scan_page_vector(memory, pte.vpn)
+        n_tagged, revoked = self._scan_page_vector(memory, pte.vpn)
         if warm_cache:
             misses = core.cache.access_page(pte.vpn, write=revoked > 0)
         elif self.costs.tag_table_sweep:
@@ -242,10 +239,10 @@ class Revoker(abc.ABC):
         return cycles
 
     # The granule scan exists twice: the scalar reference model below and
-    # the vectorized fast path (the default; ``REPRO_SCALAR=1`` selects
-    # the reference). Both return (tagged, revoked) counts and leave
-    # memory in the same state; tests/test_sweep_equivalence.py pins the
-    # equivalence on full fixed-seed runs.
+    # the vectorized scan production runs. Both return (tagged, revoked)
+    # counts and leave memory in the same state;
+    # tests/test_sweep_equivalence.py swaps the reference in for the
+    # vector scan and pins the equivalence on full fixed-seed runs.
 
     def _scan_page_scalar(self, memory, vpn: int) -> tuple[int, int]:
         """Reference scan: probe each tagged granule's base one at a time."""

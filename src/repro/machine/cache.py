@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from repro.errors import SimulationError
-from repro.fastpath import scalar_mode
 from repro.machine.costs import LINE_BYTES, LINES_PER_PAGE
 from repro.obs.tracer import TRACER
 
@@ -215,7 +214,7 @@ class Cache:
             return 0
         first = addr // LINE_BYTES
         last = (addr + nbytes - 1) // LINE_BYTES
-        if last - first < _SPAN_BATCH_MIN_LINES or scalar_mode():
+        if last - first < _SPAN_BATCH_MIN_LINES:
             return self._touch_loop(first, last, write)
         return self._touch_span(first, last, write)
 
@@ -223,10 +222,7 @@ class Cache:
         """Stream one whole page through the cache (a sweep visit);
         returns the number of lines that missed."""
         base_line = vpn * LINES_PER_PAGE
-        last = base_line + LINES_PER_PAGE - 1
-        if scalar_mode():
-            return self._touch_loop(base_line, last, write)
-        return self._touch_span(base_line, last, write)
+        return self._touch_span(base_line, base_line + LINES_PER_PAGE - 1, write)
 
     def invalidate_page(self, vpn: int) -> None:
         """Drop all lines of a page (page reuse after unmap)."""

@@ -16,7 +16,7 @@ trajectory is measured, stored, and enforced rather than hand-committed:
 - :mod:`repro.perf.regression` — the MAD + bootstrap-CI detector
   classifying each metric ``improved``/``ok``/``noisy``/``regressed``.
 
-``python -m repro bench run/compare/baseline/list/convert`` is the CLI;
+``python -m repro bench run/compare/baseline/list`` is the CLI;
 the CI ``perf-gate`` job fails on regressed deterministic-cycle metrics
 and only warns on wall-clock noise (docs/BENCHMARKING.md).
 """
@@ -55,7 +55,6 @@ from repro.perf.report import (
     PerfReport,
     check_overwrite,
     collect_env,
-    convert_legacy,
     git_sha,
     recorded_sha,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "check_overwrite",
     "collect_env",
     "compare_reports",
-    "convert_legacy",
     "git_sha",
     "mad",
     "recorded_sha",

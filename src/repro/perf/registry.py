@@ -26,8 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro import settings
 from repro.errors import PerfError
+from repro.settings import Settings
 
 #: Metric kind for bit-identical simulated quantities (gated hard).
 DETERMINISTIC = "deterministic"
@@ -52,7 +52,7 @@ class Probe:
         self.mode = mode
         #: metric name -> (kind, value) for this repetition.
         self.metrics: dict[str, tuple[str, float]] = {}
-        self._inject = settings.perf_inject()
+        self._inject = Settings.from_env().perf_inject
 
     def record(self, name: str, value: float, kind: str = DETERMINISTIC) -> None:
         """Record one metric value for this repetition."""

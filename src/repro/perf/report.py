@@ -1,4 +1,4 @@
-"""The versioned perf-report envelope (schema v1) and legacy converters.
+"""The versioned perf-report envelope (schema v1).
 
 A :class:`PerfReport` is the one JSON shape every benchmark producer
 emits — the ``repro bench`` runner, ``benchmarks/bench_sweep_micro.py``,
@@ -28,10 +28,6 @@ transactions, bytes) that must be bit-identical across hosts;
 ``wall`` series are host timings. The distinction drives the CI gate:
 deterministic regressions fail, wall regressions warn
 (docs/BENCHMARKING.md).
-
-:func:`convert_legacy` upgrades the two retired ad-hoc formats (the
-pre-v1 ``BENCH_sweep.json`` and ``BENCH_serve.json`` shapes) into this
-envelope so old reports stay comparable.
 """
 
 from __future__ import annotations
@@ -167,8 +163,8 @@ class PerfReport:
     def from_dict(cls, data: Mapping[str, Any]) -> "PerfReport":
         if data.get("kind") != "perf-report":
             raise PerfError(
-                "not a perf report (missing kind='perf-report'; legacy "
-                "reports need `repro bench convert` first)"
+                "not a perf report (missing kind='perf-report'; pre-v1 "
+                "reports are no longer read: re-record them)"
             )
         version = data.get("schema")
         if version != SCHEMA_VERSION:
@@ -254,92 +250,3 @@ def check_overwrite(
             f"{current_sha[:12]}; refusing to overwrite it silently "
             "(pass --force / set REPRO_BENCH_FORCE=1 to re-record)"
         )
-
-
-# --- Legacy converters ------------------------------------------------------
-
-
-def _series(values: list[float], kind: str = WALL) -> MetricSeries:
-    return MetricSeries(kind=kind, samples=values)
-
-
-def _convert_legacy_sweep(data: Mapping[str, Any]) -> PerfReport:
-    benchmarks: dict[str, BenchmarkResult] = {}
-    for key in ("scan", "revoke", "stream"):
-        metrics: dict[str, MetricSeries] = {}
-        scalar = data.get("scalar", {}).get(f"{key}_s")
-        vector = data.get("vectorized", {}).get(f"{key}_s")
-        if vector is not None:
-            metrics["wall_s"] = _series([float(vector)])
-        if scalar is not None:
-            metrics["scalar_wall_s"] = _series([float(scalar)])
-        if metrics:
-            benchmarks[f"sweep.{key}"] = BenchmarkResult(
-                metrics=metrics, config=dict(data.get("config", {}))
-            )
-    host = data.get("host", {})
-    env = collect_env()
-    env.update(
-        {
-            "python": host.get("python", env["python"]),
-            "machine": host.get("machine", env["machine"]),
-            "git_sha": None,  # legacy reports never recorded one
-        }
-    )
-    return PerfReport(
-        suite="sweep-micro",
-        env=env,
-        config=dict(data.get("config", {})),
-        benchmarks=benchmarks,
-        detail={"speedup": dict(data.get("speedup", {})), "legacy": True},
-    )
-
-
-def _convert_legacy_serve(data: Mapping[str, Any]) -> PerfReport:
-    benchmarks: dict[str, BenchmarkResult] = {}
-    for section, name in (
-        ("service", "serve.service"),
-        ("overload", "serve.overload"),
-        ("spawn_baseline", "serve.spawn"),
-    ):
-        stats = data.get(section)
-        if not isinstance(stats, Mapping):
-            continue
-        metrics: dict[str, MetricSeries] = {}
-        for key in ("throughput_rps", "p50_ms", "p99_ms", "mean_ms", "wall_s"):
-            value = stats.get(key)
-            if value is not None:
-                metrics[key] = _series([float(value)])
-        benchmarks[name] = BenchmarkResult(
-            metrics=metrics,
-            config={
-                k: stats.get(k)
-                for k in ("requests", "ok", "failures", "overloaded")
-                if k in stats
-            },
-        )
-    env = collect_env()
-    env["git_sha"] = None
-    return PerfReport(
-        suite="serve",
-        env=env,
-        config=dict(data.get("config", {})),
-        benchmarks=benchmarks,
-        detail={"legacy": True, "raw": dict(data)},
-    )
-
-
-def convert_legacy(data: Mapping[str, Any]) -> PerfReport:
-    """Upgrade a retired ad-hoc report (pre-v1 ``BENCH_sweep.json`` /
-    ``BENCH_serve.json``) to the schema-v1 envelope."""
-    if data.get("kind") == "perf-report":
-        return PerfReport.from_dict(data)
-    legacy_kind = data.get("benchmark")
-    if legacy_kind == "sweep_micro":
-        return _convert_legacy_sweep(data)
-    if legacy_kind == "serve":
-        return _convert_legacy_serve(data)
-    raise PerfError(
-        f"unrecognized legacy report (benchmark={legacy_kind!r}); "
-        "expected the old sweep_micro or serve shapes"
-    )

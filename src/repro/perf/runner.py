@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro import settings
 from repro.errors import PerfError
 from repro.perf.registry import (
     DETERMINISTIC,
@@ -27,6 +26,7 @@ from repro.perf.registry import (
     select,
 )
 from repro.perf.report import BenchmarkResult, MetricSeries, PerfReport
+from repro.settings import Settings
 
 #: Optional progress sink: (benchmark name, seconds, metric count).
 Progress = Callable[[str, float, int], None]
@@ -99,7 +99,7 @@ class Runner:
     ) -> PerfReport:
         if benchmarks is None:
             benchmarks = select(suite=suite, pattern=pattern)
-        inject = settings.perf_inject()
+        inject = Settings.from_env().perf_inject
         report = PerfReport(
             suite=suite,
             config={

@@ -8,8 +8,10 @@ future sweep all submit work the same way: describe jobs declaratively
 
 - **caching** — content-addressed on-disk results keyed by workload
   spec, config, and simulator code version (:mod:`repro.runner.cache`);
-- **parallelism** — a fault-tolerant worker pool with per-job timeouts
-  and graceful in-process fallback (:mod:`repro.runner.pool`);
+- **one batch core** — fingerprint, cache, dedup, warm-start gate and
+  settlement shared by every executor (:mod:`repro.runner.batch`);
+- **parallelism** — a fault-tolerant fork-per-job pool with per-job
+  timeouts and graceful in-process fallback (:mod:`repro.runner.pool`);
 - **determinism** — jobs carry explicit seeds and run one-workload-per-
   process, so pooled, cached, and serial execution agree byte-for-byte
   (:mod:`repro.runner.serialize` round-trips losslessly);
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.metrics import RunResult
+from repro.runner.batch import CampaignJobError
 from repro.runner.cache import (
     ResultCache,
     code_fingerprint,
@@ -43,12 +46,7 @@ from repro.runner.campaign import (
     stable_seed,
 )
 from repro.runner.executor import Executor, PoolExecutor
-from repro.runner.pool import (
-    CampaignJobError,
-    default_max_workers,
-    default_timeout_s,
-    run_jobs,
-)
+from repro.runner.pool import run_jobs
 from repro.runner.progress import CampaignProgress, env_echo
 
 __all__ = [
@@ -64,8 +62,6 @@ __all__ = [
     "build_config",
     "code_fingerprint",
     "default_cache_dir",
-    "default_max_workers",
-    "default_timeout_s",
     "env_echo",
     "execute_job",
     "job_fingerprint",

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import repro
-from repro import settings
 from repro.core.metrics import RunResult
 from repro.runner.campaign import Job
 from repro.runner.serialize import (
@@ -43,6 +42,7 @@ from repro.runner.serialize import (
     result_from_dict,
     result_to_dict,
 )
+from repro.settings import Settings
 
 #: Package sub-trees whose source does not influence simulation results:
 #: orchestration (runner), presentation (analysis, cli), the serving
@@ -98,7 +98,7 @@ def job_fingerprint(job: Job, code_version: str | None = None) -> str:
         "code": code_version if code_version is not None else code_fingerprint(),
         "job": job.to_dict(),
     }
-    if settings.trace_dir() is not None:
+    if Settings.from_env().trace_dir is not None:
         # Traced runs carry the observability metrics fold in their
         # RunResult; keep them from colliding with untraced results.
         material["trace"] = True
@@ -106,7 +106,7 @@ def job_fingerprint(job: Job, code_version: str | None = None) -> str:
 
 
 def default_cache_dir() -> Path:
-    env = settings.cache_dir()
+    env = Settings.from_env().cache_dir
     if env is not None:
         return env
     return Path.home() / ".cache" / "repro" / "results"

@@ -27,15 +27,14 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro import settings
 from repro.core.config import RevokerKind, SimulationConfig
 from repro.core.experiment import run_experiment
 from repro.core.metrics import RunResult
 from repro.errors import ConfigError
 from repro.runner.serialize import canonical_json
+from repro.settings import Settings
 from repro.snapshot.prefix import prefix_store_dir
 from repro.workloads.base import Workload
 
@@ -183,22 +182,6 @@ def build_config(job: Job) -> SimulationConfig:
     return cfg
 
 
-def trace_artifact_dir() -> Path | None:
-    """Where per-job trace JSONL artifacts go (``$REPRO_TRACE_DIR``), or
-    None when tracing is off. Inherited by pool worker processes, so the
-    whole campaign traces uniformly."""
-    return settings.trace_dir()
-
-
-def snapshot_artifact_dir() -> Path | None:
-    """Where per-job checkpoint files go (``$REPRO_SNAPSHOT_DIR``), or
-    None when checkpointing is off. Inherited by pool worker and serve
-    worker processes, so a job killed mid-run (crash, timeout, eviction)
-    resumes from its last epoch-close checkpoint on retry instead of
-    recomputing completed epochs."""
-    return settings.snapshot_dir()
-
-
 def job_trace_slug(job: Job) -> str:
     """A filesystem-safe, collision-free artifact name for one job."""
     human = re.sub(r"[^A-Za-z0-9._-]+", "-", job.describe()).strip("-")
@@ -244,7 +227,9 @@ def prefix_eligible(job: Job) -> bool:
     return bool(getattr(workload, "supports_snapshot", False))
 
 
-def _run_warm(job: Job, workload: Workload, fingerprint: str) -> RunResult | None:
+def _run_warm(
+    job: Job, workload: Workload, fingerprint: str, env: Settings
+) -> RunResult | None:
     """The warm-start path: fork this job off its group's stored prefix,
     or run cold while capturing the prefix for the rest of the group.
     Returns None when a stored prefix exists but cannot be used (corrupt,
@@ -255,13 +240,12 @@ def _run_warm(job: Job, workload: Workload, fingerprint: str) -> RunResult | Non
     from repro.snapshot.prefix import (
         PrefixStore,
         fork_simulation,
-        prefix_divergence_epoch,
         prefix_key,
         prefix_plan,
     )
 
-    store = PrefixStore(prefix_store_dir())
-    epoch = prefix_divergence_epoch()
+    store = PrefixStore(env.prefix_dir)
+    epoch = env.prefix_epoch
     key = prefix_key(job, epoch)
     data = store.get(key)
     if data is not None:
@@ -288,7 +272,7 @@ def _run_warm(job: Job, workload: Workload, fingerprint: str) -> RunResult | Non
     return result
 
 
-def _run_job(job: Job) -> RunResult:
+def _run_job(job: Job, env: Settings) -> RunResult:
     """Run — or, given a matching checkpoint or warm-start prefix,
     resume — one job's simulation. The determinism contract
     (docs/SNAPSHOT.md, docs/WARMSTART.md) makes the three
@@ -300,8 +284,8 @@ def _run_job(job: Job) -> RunResult:
     only carry one snapshot session, and the prefix capture is the one
     the rest of the group is waiting on."""
     workload = job.workload.build()
-    snap_dir = snapshot_artifact_dir()
-    warm = prefix_store_dir() is not None and prefix_eligible(job)
+    snap_dir = env.snapshot_dir
+    warm = prefix_store_dir(env) is not None and prefix_eligible(job)
     if snap_dir is None and not warm:
         return run_experiment(workload, job.revoker, build_config(job))
 
@@ -346,7 +330,7 @@ def _run_job(job: Job) -> RunResult:
                 pass
 
     if warm:
-        result = _run_warm(job, workload, fingerprint)
+        result = _run_warm(job, workload, fingerprint, env)
         if result is not None:
             return result
 
@@ -372,16 +356,17 @@ def execute_job(job: Job) -> RunResult:
     ``REPRO_SNAPSHOT_DIR`` set, snapshot-capable jobs checkpoint at every
     epoch close and resume from ``<dir>/<slug>.ckpt`` when one matching
     the job fingerprint is present."""
-    trace_dir = trace_artifact_dir()
+    env = Settings.from_env()
+    trace_dir = env.trace_dir
     if trace_dir is None:
-        return _run_job(job)
+        return _run_job(job, env)
 
     from repro.obs.export import write_jsonl
     from repro.obs.tracer import TRACER
 
     TRACER.start()
     try:
-        result = _run_job(job)
+        result = _run_job(job, env)
         events = TRACER.events()
         meta = {
             "job": job.describe(),

@@ -15,8 +15,10 @@ Two implementations ship:
   remote ``repro.serve`` daemons by consistent-hashing each job's
   fingerprint (docs/DIST.md).
 
-The contract every backend must honor, pinned by the dist test suite's
-bit-identity checks:
+Both drive the same :class:`~repro.runner.batch.Batch` (fingerprint,
+local cache, in-batch dedup, warm-start prefix gate, settlement), so the
+contract every backend must honor — pinned by the pool and dist test
+suites — holds by construction:
 
 - results align index-for-index with ``jobs``;
 - a local ``cache`` is consulted first and fresh results are written
@@ -26,7 +28,7 @@ bit-identity checks:
   hit, a fresh completion, a dedup, or a terminal failure — so
   ``progress.done`` reaches ``len(jobs)`` even on error paths;
 - terminal per-job failures raise
-  :class:`~repro.runner.pool.CampaignJobError` only after every other
+  :class:`~repro.runner.batch.CampaignJobError` only after every other
   job has settled (no lost work behind the first failure).
 """
 

@@ -1,84 +1,61 @@
-"""Parallel job execution: a process-per-job pool with timeouts, retry,
-and cache integration.
+"""Job execution on this host: one forked process per job, with
+timeouts, retry, and cache integration.
 
-Simulation jobs are seconds-to-minutes of pure Python, so the pool runs
-each job in its own ``multiprocessing`` process (fork-started where
-available) under a bounded concurrency limit instead of reusing long-
-lived workers — that is what makes real per-job timeouts (terminate the
-process) and crash detection (exit code without a result) simple and
-reliable. Results cross the process boundary as serialized envelopes
-(:mod:`repro.runner.serialize`), the same representation the cache
-stores, so pooled, cached, and in-process execution are interchangeable
-bit-for-bit.
+Simulation jobs are seconds-to-minutes of pure Python, so every job runs
+in its own fresh ``multiprocessing`` process (fork-started where
+available) — :class:`JobProcess`, the launcher the ``repro.serve``
+daemon uses too. A fresh process per job is what makes real per-job
+timeouts (kill the process) and crash detection (the result pipe closes
+without a result) simple and reliable. Results cross the process
+boundary as serialized envelopes (:mod:`repro.runner.serialize`), the
+same representation the cache stores, so pooled, cached, and
+in-process execution are interchangeable bit-for-bit.
 
+:func:`run_jobs` drives a :class:`~repro.runner.batch.Batch` (cache,
+dedup, warm-start gate, settlement) under a bounded concurrency limit.
 Fault policy:
 
 - a **crashed** worker (killed, segfaulted, exited without reporting)
   or a **timed-out** job is retried once in a fresh process; a second
-  failure raises :class:`CampaignJobError`;
-- a job that raises an ordinary Python exception is *not* retried — the
-  simulation is deterministic, so the retry would fail identically —
-  and the error is re-raised as :class:`CampaignJobError` carrying the
-  worker's traceback;
+  failure is terminal ("failed twice");
+- a job that raises an ordinary Python exception is terminal at once —
+  the simulation is deterministic, so a retry would fail identically;
+- terminal failures are recorded and the rest of the batch still runs;
+  :class:`~repro.runner.batch.CampaignJobError` is raised only after
+  every job has settled;
 - if worker processes cannot be started at all (no ``fork``/``spawn``,
   sandboxed CI, ``REPRO_JOBS=1``), execution falls back to the plain
-  in-process loop, which has no extra failure modes;
-- a :class:`KeyboardInterrupt` (or any other fatal error) terminates and
+  in-process loop;
+- a :class:`KeyboardInterrupt` (or any other fatal error) kills and
   joins every live worker before re-raising — an interrupted campaign
   leaves no orphaned children behind.
 
-Jobs with identical fingerprints within one :func:`run_jobs` call are
-**deduplicated**: the first occurrence executes, the rest receive a
-serialized copy of its result (the serving layer leans on the same
-collapse for in-flight requests; campaigns with repeated conditions get
-it for free).
-
 Environment knobs: ``REPRO_JOBS`` (worker count; ``0`` = CPU count;
 default ``1`` = in-process) and ``REPRO_JOB_TIMEOUT`` (seconds per job;
-default: none).
+default: none), both read when :func:`run_jobs` runs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import stat
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro import settings
 from repro.core.metrics import RunResult
-from repro.errors import ReproError
-from repro.runner.cache import ResultCache, job_fingerprint
-from repro.runner.campaign import (
-    Job,
-    execute_job,
-    pop_warm_start_note,
-    prefix_eligible,
-)
+from repro.runner.batch import Batch
+from repro.runner.cache import ResultCache
+from repro.runner.campaign import Job, execute_job, pop_warm_start_note
 from repro.runner.progress import CampaignProgress, env_echo
-from repro.runner.serialize import result_from_dict, result_to_dict
-from repro.snapshot.prefix import (
-    PrefixStore,
-    prefix_divergence_epoch,
-    prefix_key,
-    prefix_store_dir,
-)
-
-
-class CampaignJobError(ReproError):
-    """A campaign job failed (worker exception, repeated crash, or
-    repeated timeout)."""
-
-
-def default_max_workers() -> int:
-    """Worker count from ``REPRO_JOBS`` (0 = all CPUs; default 1)."""
-    return settings.max_workers()
-
-
-def default_timeout_s() -> float | None:
-    return settings.job_timeout_s()
+from repro.runner.serialize import result_to_dict
+from repro.settings import Settings
+from repro.snapshot.prefix import PrefixStore, prefix_store_dir
 
 
 def _mp_context():
@@ -90,8 +67,45 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _pool_worker(job: Job, conn: Connection) -> None:
-    """Worker-process entry: run the job, ship the serialized result."""
+def _drop_inherited_sockets() -> None:
+    """Close every socket this forked child inherited.
+
+    A daemon's client connections must not stay open in its job
+    processes, or a client whose connection the daemon closes never
+    reads EOF. Each socket descriptor is pointed at ``/dev/null`` rather
+    than closed, so a stale socket object that is later collected cannot
+    close a reused descriptor number. The result pipe is an ``os.pipe``,
+    not a socket, and stays open.
+    """
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(fd_dir)]
+            break
+        except OSError:
+            continue
+    else:  # pragma: no cover - no descriptor listing on this platform
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd == devnull:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:  # closed since the listing (the listing's own fd)
+                pass
+    finally:
+        os.close(devnull)
+
+
+def _job_main(
+    job: Job, conn: Connection, overrides: Mapping[str, Any] | None
+) -> None:
+    """Job-process entry: run the job, ship the serialized result."""
+    _drop_inherited_sockets()
+    for field, value in (overrides or {}).items():
+        settings.set_env(field, value)
     try:
         envelope = result_to_dict(execute_job(job))
         conn.send(("ok", envelope, pop_warm_start_note()))
@@ -101,15 +115,57 @@ def _pool_worker(job: Job, conn: Connection) -> None:
         conn.close()
 
 
+class JobProcess:
+    """One job running in its own freshly forked process.
+
+    ``overrides`` are settings fields (``{"prefix_dir": ...}``) exported
+    into the child's environment only. :meth:`outcome` reads the child's
+    one message: ``("ok", envelope, warm_note)``, ``("err", name, text,
+    traceback)``, or ``("crash", reason)`` when the child died without
+    reporting. Raises ``OSError`` when the process cannot be started.
+    """
+
+    def __init__(self, job: Job, overrides: Mapping[str, Any] | None = None) -> None:
+        ctx = _mp_context()
+        self.conn, child_conn = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(
+            target=_job_main, args=(job, child_conn, overrides), daemon=True
+        )
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self.started = time.monotonic()
+
+    def outcome(self) -> tuple:
+        try:
+            message = self.conn.recv()
+        except EOFError:  # pipe closed with nothing sent: the child died
+            message = None
+        self.conn.close()
+        self.process.join()
+        if message is None:
+            return ("crash", f"worker exited (code {self.process.exitcode})")
+        return message
+
+    def kill(self) -> None:
+        """SIGKILL the child and reap it (a timeout, deadline, or abort).
+        Not SIGTERM: a child forked from an asyncio daemon inherits its
+        signal handlers and would ignore it."""
+        if self.process.exitcode is None:
+            self.process.kill()
+        self.conn.close()
+        self.process.join(timeout=5)
+
+
 @dataclass
 class _Running:
-    index: int
-    job: Job
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    deadline: float | None
-    started: float
+    proc: JobProcess
     attempt: int
+    deadline: float | None
 
 
 def run_jobs(
@@ -125,279 +181,146 @@ def run_jobs(
     Cache hits are satisfied without executing anything; fresh results
     are written back under their fingerprint. With ``max_workers=1`` the
     whole batch runs in-process, byte-identical to calling
-    :func:`~repro.runner.campaign.execute_job` in a loop.
+    :func:`~repro.runner.campaign.execute_job` in a loop. Terminal
+    failures raise :class:`~repro.runner.batch.CampaignJobError` once the
+    whole batch has settled.
     """
+    env = Settings.from_env()
     if max_workers is None:
-        max_workers = default_max_workers()
+        max_workers = env.max_workers()
     if timeout_s is None:
-        timeout_s = default_timeout_s()
+        timeout_s = env.job_timeout_s
     if progress is None:
         progress = CampaignProgress(len(jobs), echo=env_echo())
     if progress.workers is None:
         progress.workers = max_workers
 
-    results: list[RunResult | None] = [None] * len(jobs)
-    fingerprints: list[str | None] = [None] * len(jobs)
-    pending: list[int] = []
-    # Jobs with identical fingerprints run once: the first occurrence is
-    # the leader, the rest receive a serialized copy of its result.
-    leaders: dict[str, int] = {}
-    followers: dict[int, list[int]] = {}
-
-    for i, job in enumerate(jobs):
-        fingerprints[i] = job_fingerprint(job)
-        if cache is not None:
-            hit = cache.get(fingerprints[i])
-            if hit is not None:
-                results[i] = hit
-                progress.job_finished(job.describe(), cached=True, elapsed=0.0)
-                continue
-        leader = leaders.get(fingerprints[i])
-        if leader is None:
-            leaders[fingerprints[i]] = i
-            pending.append(i)
-        else:
-            followers.setdefault(leader, []).append(i)
-
-    def finish_fresh(
-        i: int, result: RunResult, elapsed: float, note: str | None = None
-    ) -> None:
-        results[i] = result
-        if cache is not None and fingerprints[i] is not None:
-            cache.put(fingerprints[i], result, job=jobs[i])
-        progress.job_finished(
-            jobs[i].describe(), cached=False, elapsed=elapsed, warm=note
-        )
-        for dup in followers.get(i, ()):
-            # The round-trip hands each duplicate its own equal object,
-            # exactly as if it had crossed a worker pipe itself.
-            results[dup] = result_from_dict(result_to_dict(result))
-            progress.job_deduped(jobs[dup].describe())
-
+    batch = Batch(jobs, cache=cache, progress=progress)
+    root = prefix_store_dir(env)
+    if root is not None:
+        batch.gate_prefixes(env.prefix_epoch, PrefixStore(root))
+    pending: Sequence[int] = batch.ready
     if pending and max_workers > 1:
-        pending = _run_pooled(
-            jobs,
-            pending,
-            max_workers,
-            timeout_s,
-            progress,
-            finish_fresh,
-            _prefix_gates(jobs, pending),
-        )
+        pending = _run_pooled(batch, max_workers, timeout_s)
+    _run_in_process(batch, pending)
+    return batch.finish()
 
-    # In-process path: REPRO_JOBS=1, pool unavailable, or pool leftovers.
-    for i in pending:
+
+def _run_in_process(batch: Batch, pending: Sequence[int]) -> None:
+    """The plain loop: ``REPRO_JOBS=1``, pool unavailable, or leftovers."""
+    queue = deque(pending)
+    while queue:
+        index = queue.popleft()
         began = time.monotonic()
-        result = execute_job(jobs[i])
-        finish_fresh(i, result, time.monotonic() - began, note=pop_warm_start_note())
-
-    return results  # type: ignore[return-value]  # every slot is filled
-
-
-def _prefix_gates(jobs: Sequence[Job], pending: Sequence[int]) -> dict[int, int]:
-    """Map each warm-start follower to the leader whose run will capture
-    its group's prefix.
-
-    With ``REPRO_PREFIX_DIR`` set, pending jobs that share a prefix key
-    whose prefix is not yet stored must not all cold-start concurrently —
-    that would re-simulate the shared warmup once per worker and store
-    whichever capture linked first. Instead the first job of each group
-    runs (and captures) while the rest are held back until it finishes.
-    Groups whose prefix is already stored need no gate: every member
-    forks immediately.
-    """
-    root = prefix_store_dir()
-    if root is None:
-        return {}
-    store = PrefixStore(root)
-    epoch = prefix_divergence_epoch()
-    groups: dict[str, list[int]] = {}
-    for i in pending:
-        if not prefix_eligible(jobs[i]):
-            continue
-        key = prefix_key(jobs[i], epoch)
-        if key in store:
-            continue
-        groups.setdefault(key, []).append(i)
-    return {i: group[0] for group in groups.values() for i in group[1:]}
+        try:
+            result = execute_job(batch.jobs[index])
+        except Exception as exc:
+            pop_warm_start_note()
+            released = batch.fail(
+                index, f"raised {type(exc).__name__}: {exc}", traceback.format_exc()
+            )
+        else:
+            released = batch.succeed(
+                index,
+                result=result,
+                elapsed=time.monotonic() - began,
+                note=pop_warm_start_note(),
+            )
+        # Released gate followers run next, right behind their leader.
+        queue.extendleft(reversed(released))
 
 
-def _run_pooled(
-    jobs: Sequence[Job],
-    pending: list[int],
-    max_workers: int,
-    timeout_s: float | None,
-    progress: CampaignProgress,
-    finish_fresh,
-    gates: dict[int, int] | None = None,
-) -> list[int]:
-    """Drain ``pending`` through worker processes.
-
-    ``gates`` (follower index -> leader index) holds warm-start followers
-    out of the queue until their group's prefix capture has finished.
-    Returns indices that should run in-process instead (pool could not
-    start at all); raises :class:`CampaignJobError` on job failure.
-    """
-    ctx = _mp_context()
-    gates = gates or {}
-    held: dict[int, list[int]] = {}
-    for follower, leader in gates.items():
-        held.setdefault(leader, []).append(follower)
-    queue = [i for i in pending if i not in gates]
+def _run_pooled(batch: Batch, max_workers: int, timeout_s: float | None) -> list[int]:
+    """Drain the batch through job processes, at most ``max_workers`` at
+    a time. Returns the indices that must run in-process instead (the
+    pool could not start a process at all)."""
+    queue = deque(batch.ready)
     running: dict[int, _Running] = {}
 
-    def finish_and_release(
-        index: int, result: RunResult, elapsed: float, note: str | None = None
-    ) -> None:
-        finish_fresh(index, result, elapsed, note)
-        # The leader is done (prefix stored, or the capture window closed
-        # and the group degrades to cold runs): its followers may go.
-        queue.extend(sorted(held.pop(index, ())))
-
     def launch(index: int, attempt: int) -> bool:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_pool_worker, args=(jobs[index], child_conn), daemon=True
-        )
         try:
-            process.start()
+            proc = JobProcess(batch.jobs[index])
         except OSError:
-            parent_conn.close()
-            child_conn.close()
             return False
-        child_conn.close()
-        now = time.monotonic()
-        running[index] = _Running(
-            index=index,
-            job=jobs[index],
-            process=process,
-            conn=parent_conn,
-            deadline=(now + timeout_s) if timeout_s else None,
-            started=now,
-            attempt=attempt,
-        )
+        deadline = proc.started + timeout_s if timeout_s else None
+        running[index] = _Running(proc, attempt, deadline)
         return True
 
-    def reap(entry: _Running) -> None:
-        entry.conn.close()
-        entry.process.join(timeout=5)
-        if entry.process.is_alive():  # pragma: no cover - stuck worker
-            entry.process.kill()
-            entry.process.join()
-
-    def abort_all() -> None:
-        # Two-phase teardown so an interrupt (^C) cannot orphan workers:
-        # signal every live process *first*, then join — a second
-        # KeyboardInterrupt landing mid-join still finds everyone already
-        # terminating, and the finally sweep kills any straggler.
-        try:
-            for entry in running.values():
-                try:
-                    entry.process.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            for entry in running.values():
-                entry.conn.close()
-                entry.process.join(timeout=5)
-        finally:
-            for entry in running.values():
-                if entry.process.is_alive():
-                    entry.process.kill()
-                    entry.process.join(timeout=5)
-            running.clear()
-
-    def crash_or_retry(entry: _Running, reason: str) -> None:
-        del running[entry.index]
-        reap(entry)
-        if entry.attempt == 0:
-            progress.job_retried(entry.job.describe(), reason)
-            if not launch(entry.index, attempt=1):  # pragma: no cover
-                queue.append(entry.index)
+    def crash_or_retry(index: int, reason: str) -> None:
+        attempt = running.pop(index).attempt
+        label = batch.jobs[index].describe()
+        if attempt == 0:
+            batch.progress.job_retried(label, reason)
+            if launch(index, attempt=1):
+                return
+            queue.appendleft(index)  # pragma: no cover - fork stopped working
         else:
-            progress.job_failed(entry.job.describe(), reason)
-            abort_all()
-            raise CampaignJobError(
-                f"job {entry.job.describe()} failed twice: {reason}"
-            )
+            queue.extend(batch.fail(index, f"failed twice: {reason}"))
 
     try:
         while queue or running:
             while queue and len(running) < max_workers:
-                index = queue.pop(0)
+                index = queue.popleft()
                 if not launch(index, attempt=0):
-                    # Cannot start processes here: hand everything still
-                    # unstarted back to the in-process loop.
-                    leftovers = [index] + queue
-                    queue.clear()
+                    # Cannot start processes here: finish what runs, then
+                    # hand everything unstarted to the in-process loop
+                    # (which releases still-held followers as it goes).
+                    queue.appendleft(index)
                     while running:
-                        _wait_one(
-                            running, progress, finish_and_release, crash_or_retry
-                        )
-                    # Followers released while draining, then any still
-                    # held: list order keeps each leader ahead of its
-                    # group, so the in-process loop still warm-starts.
-                    leftovers.extend(queue)
-                    leftovers.extend(
-                        sorted(i for group in held.values() for i in group)
-                    )
-                    return leftovers
-            _wait_one(running, progress, finish_and_release, crash_or_retry)
+                        _wait_one(batch, running, queue, crash_or_retry)
+                    return list(queue)
+            _wait_one(batch, running, queue, crash_or_retry)
     except BaseException:
-        abort_all()
+        # Kill everyone first, then reap: a second ^C landing mid-reap
+        # still finds every child already dead.
+        for entry in running.values():
+            entry.proc.process.kill()
+        for entry in running.values():
+            entry.proc.kill()
+        running.clear()
         raise
     return []
 
 
 def _wait_one(
+    batch: Batch,
     running: dict[int, _Running],
-    progress: CampaignProgress,
-    finish_fresh,
+    queue: deque,
     crash_or_retry,
 ) -> None:
-    """Block briefly; settle every worker that finished, crashed, or
-    timed out."""
-    if not running:
-        return
+    """Block briefly; settle every job that finished, crashed, or timed
+    out, queueing the gate followers that settling releases."""
     now = time.monotonic()
     wait_for = 0.25
     for entry in running.values():
         if entry.deadline is not None:
             wait_for = min(wait_for, max(0.0, entry.deadline - now))
-    ready = connection_wait([e.conn for e in running.values()], timeout=wait_for)
-    ready_set = set(ready)
+    ready = set(connection_wait([e.proc.conn for e in running.values()], timeout=wait_for))
     now = time.monotonic()
-    for entry in list(running.values()):
-        if entry.conn in ready_set:
-            try:
-                message = entry.conn.recv()
-            except EOFError:
-                # Pipe closed with nothing sent: the worker died.
-                entry.process.join(timeout=5)
-                crash_or_retry(
-                    entry, f"worker exited (code {entry.process.exitcode})"
-                )
+    for index, entry in list(running.items()):
+        proc = entry.proc
+        if proc.conn in ready:
+            message = proc.outcome()
+            if message[0] == "crash":
+                crash_or_retry(index, message[1])
                 continue
-            del running[entry.index]
-            reaped = entry
-            reaped.conn.close()
-            reaped.process.join()
+            del running[index]
             if message[0] == "ok":
-                finish_fresh(
-                    entry.index,
-                    result_from_dict(message[1]),
-                    now - entry.started,
-                    message[2] if len(message) > 2 else None,
+                released = batch.succeed(
+                    index,
+                    envelope=message[1],
+                    elapsed=now - proc.started,
+                    note=message[2],
                 )
             else:
                 _, name, text, trace = message
-                progress.job_failed(entry.job.describe(), f"{name}: {text}")
-                raise CampaignJobError(
-                    f"job {entry.job.describe()} raised {name}: {text}\n{trace}"
-                )
+                released = batch.fail(index, f"raised {name}: {text}", trace)
+            queue.extend(released)
         elif entry.deadline is not None and now >= entry.deadline:
-            entry.process.terminate()
-            crash_or_retry(entry, f"timeout after {now - entry.started:.1f}s")
-        elif entry.process.exitcode is not None and not entry.conn.poll():
-            crash_or_retry(
-                entry, f"worker exited (code {entry.process.exitcode})"
-            )
+            proc.kill()
+            crash_or_retry(index, f"timeout after {now - proc.started:.1f}s")
+        elif proc.process.exitcode is not None and not proc.conn.poll():
+            # Dead, yet its pipe shows neither data nor EOF: another
+            # process still holds the write end. Do not wait for it.
+            proc.kill()
+            crash_or_retry(index, f"worker exited (code {proc.process.exitcode})")

@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Any, Callable
 
-from repro import settings
+from repro.settings import Settings
 
 Echo = Callable[[str], None]
 
@@ -27,7 +27,7 @@ def _default_echo(line: str) -> None:
 
 def env_echo() -> Echo | None:
     """The echo callable implied by ``REPRO_PROGRESS`` (None = silent)."""
-    if settings.progress_enabled():
+    if Settings.from_env().progress:
         return _default_echo
     return None
 

@@ -1,4 +1,4 @@
-"""Load generator for the simulation service (``repro serve-bench``).
+"""Load generator for the simulation service (``repro serve bench``).
 
 Three phases, each optional, one JSON report (``BENCH_serve.json``):
 
@@ -13,8 +13,9 @@ Three phases, each optional, one JSON report (``BENCH_serve.json``):
   hangs or crashes;
 - **spawn baseline** (``--spawn-baseline N``) — the same requests issued
   the pre-serve way, one ``python -m repro run`` subprocess per request,
-  quantifying what the warm worker pool saves (the acceptance criterion
-  is >= 5x service throughput over this baseline).
+  quantifying what the daemon's fork-from-warm-parent job processes
+  save (the acceptance criterion is >= 5x service throughput over this
+  baseline).
 
 ``--autostart`` makes the run self-contained: it forks a daemon on a
 temporary Unix socket, benches it, and drains it afterwards.
@@ -43,10 +44,13 @@ from typing import Any, Callable, Sequence
 import repro
 from repro.analysis import percentile
 from repro.errors import PerfError
+from repro.perf.registry import WALL
 from repro.perf.report import (
+    BenchmarkResult,
+    MetricSeries,
+    PerfReport,
     check_overwrite,
     collect_env,
-    convert_legacy,
     git_sha,
     recorded_sha,
 )
@@ -331,7 +335,7 @@ def _start_daemon(
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro serve-bench", description=__doc__.splitlines()[0]
+        prog="repro serve bench", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--socket", default=None, help="daemon unix socket path")
     parser.add_argument("--host", default=None, help="daemon TCP host")
@@ -531,15 +535,47 @@ def main(argv: Sequence[str] | None = None) -> int:
             tmp.cleanup()
 
     if args.out is not None:
-        # Wrap the raw phase sections in the schema-v1 envelope: the
-        # converter maps headline stats into per-benchmark wall metrics;
-        # the raw dict rides along verbatim under detail.raw.
-        envelope = convert_legacy(report)
-        envelope.env = collect_env()
-        envelope.detail = {"raw": report}
-        envelope.save(args.out)
+        perf_report(report).save(args.out)
         print(f"report written to {args.out}")
     return 1 if failed else 0
+
+
+#: Raw report section -> the benchmark its headline stats land under.
+_SECTIONS = (
+    ("service", "serve.service"),
+    ("overload", "serve.overload"),
+    ("spawn_baseline", "serve.spawn"),
+)
+
+
+def perf_report(report: dict[str, Any]) -> PerfReport:
+    """The schema-v1 envelope of one run: each phase's headline stats
+    become wall metrics of one benchmark; the raw phase sections ride
+    along verbatim under ``detail.raw``."""
+    benchmarks: dict[str, BenchmarkResult] = {}
+    for section, name in _SECTIONS:
+        stats = report.get(section)
+        if not isinstance(stats, dict):
+            continue
+        benchmarks[name] = BenchmarkResult(
+            metrics={
+                key: MetricSeries(kind=WALL, samples=[float(stats[key])])
+                for key in ("throughput_rps", "p50_ms", "p99_ms", "mean_ms", "wall_s")
+                if stats.get(key) is not None
+            },
+            config={
+                k: stats[k]
+                for k in ("requests", "ok", "failures", "overloaded")
+                if k in stats
+            },
+        )
+    return PerfReport(
+        suite="serve",
+        env=collect_env(),
+        config=dict(report.get("config", {})),
+        benchmarks=benchmarks,
+        detail={"raw": report},
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,11 +2,13 @@
 
 An asyncio event loop accepts newline-delimited JSON requests on a Unix
 or TCP socket (:mod:`repro.serve.protocol`) and serves ``run`` requests
-from a warm :class:`~repro.serve.workers.WorkerPool`:
+on ``workers`` execution slots, each running one job at a time in a
+fresh forked process — the :class:`~repro.runner.pool.JobProcess` the
+local campaign pool uses:
 
 - **cache first** — a request whose fingerprint is already in the
   content-addressed :class:`~repro.runner.cache.ResultCache` is answered
-  straight from the stored envelope, touching no worker;
+  straight from the stored envelope, forking nothing;
 - **dedup** — identical fingerprints *in flight* collapse onto the one
   executing task; followers wait on its future and are answered with
   ``deduped: true`` when the leader's envelope lands;
@@ -14,11 +16,11 @@ from a warm :class:`~repro.serve.workers.WorkerPool`:
   past the bound is rejected immediately with ``overloaded`` and a
   ``retry_after_s`` hint instead of queueing unboundedly;
 - **deadlines** — a per-request ``deadline_s`` expires the request in
-  queue (cheap) or kills the worker mid-run (reclaims it);
-- **supervision** — a worker that crashes or overruns the job timeout is
-  killed, respawned, and the job retried once (the same fault policy as
-  :mod:`repro.runner.pool`); a second failure is an error response, not
-  a dead daemon;
+  queue (cheap) or kills its job process mid-run;
+- **supervision** — a job process that crashes or overruns the job
+  timeout is killed and the job retried once in a new process (the same
+  fault policy as :mod:`repro.runner.pool`); the job's own exception is
+  terminal; a second failure is an error response, not a dead daemon;
 - **graceful drain** — SIGTERM/SIGINT (or the ``shutdown`` verb) stops
   accepting connections, finishes in-flight work within the drain
   timeout, answers everything still queued with ``shutting-down``, and
@@ -27,9 +29,13 @@ from a warm :class:`~repro.serve.workers.WorkerPool`:
 Every decision increments a :class:`~repro.obs.MetricsRegistry` counter
 or histogram; the ``health`` and ``stats`` verbs expose them live.
 
-Environment knobs: ``REPRO_SERVE_WORKERS`` (warm workers, default 2),
-``REPRO_SERVE_QUEUE`` (admission bound, default 64),
-``REPRO_SERVE_JOB_TIMEOUT`` (seconds per job on a worker; default none).
+Every job process is forked from the fully imported daemon, so a job
+pays no interpreter or import start-up; it closes every client socket
+it inherited, so a connection the daemon closes reads EOF at once.
+
+Environment knobs: ``REPRO_SERVE_WORKERS`` (concurrent job processes,
+default 2), ``REPRO_SERVE_QUEUE`` (admission bound, default 64),
+``REPRO_SERVE_JOB_TIMEOUT`` (seconds per job process; default none).
 CLI flags override each (see ``python -m repro serve --help``).
 """
 
@@ -45,12 +51,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import settings
 from repro.core.config import RevokerKind
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.cache import ResultCache, job_fingerprint
-from repro.runner.campaign import job_from_dict, registered_workloads
+from repro.runner.campaign import Job, job_from_dict, registered_workloads
+from repro.runner.pool import JobProcess
 from repro.runner.serialize import SerializationError
 from repro.serve.protocol import (
     DEFAULT_MAX_LINE_BYTES,
@@ -73,19 +79,7 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.workers import WorkerPool, Worker, conn_recv
-
-
-def default_serve_workers() -> int:
-    return settings.serve_workers()
-
-
-def default_queue_bound() -> int:
-    return settings.serve_queue()
-
-
-def default_serve_job_timeout() -> float | None:
-    return settings.serve_job_timeout_s()
+from repro.settings import Settings
 
 
 @dataclass
@@ -104,12 +98,12 @@ class ServeConfig:
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES
     #: Directory for per-job checkpoints (``$REPRO_SNAPSHOT_DIR`` when
     #: unset). Snapshot-capable jobs then checkpoint at epoch closes, so
-    #: a request retried after a worker crash or timeout resumes from the
-    #: dead worker's last checkpoint, and repeated fresh executions of a
+    #: a request retried after a crash or timeout resumes from the dead
+    #: process's last checkpoint, and repeated fresh executions of a
     #: fingerprint warm-start from the previous run's final checkpoint.
     snapshot_dir: str | Path | None = None
     #: Directory for the warm-start prefix store (``$REPRO_PREFIX_DIR``
-    #: when unset; see docs/WARMSTART.md). Workers then pre-warm hot
+    #: when unset; see docs/WARMSTART.md). Jobs then pre-warm hot
     #: prefixes organically: the first fresh run of a sweep group
     #: captures the shared warmup checkpoint and every sibling request —
     #: same workload, different revoker — forks from it instead of
@@ -117,22 +111,21 @@ class ServeConfig:
     prefix_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.snapshot_dir is None:
-            env_snap = settings.snapshot_dir()
-            self.snapshot_dir = str(env_snap) if env_snap is not None else None
-        if self.prefix_dir is None:
-            env_prefix = settings.prefix_dir()
-            self.prefix_dir = str(env_prefix) if env_prefix is not None else None
+        env = Settings.from_env()
+        if self.snapshot_dir is None and env.snapshot_dir is not None:
+            self.snapshot_dir = str(env.snapshot_dir)
+        if self.prefix_dir is None and env.prefix_dir is not None:
+            self.prefix_dir = str(env.prefix_dir)
         if self.socket_path and self.host:
             raise ConfigError("serve: give a unix socket path or host/port, not both")
         if not self.socket_path and not self.host:
             raise ConfigError("serve: a unix socket path or a host/port is required")
         if self.workers is None:
-            self.workers = default_serve_workers()
+            self.workers = env.serve_workers
         if self.queue_bound is None:
-            self.queue_bound = default_queue_bound()
+            self.queue_bound = env.serve_queue
         if self.job_timeout_s is None:
-            self.job_timeout_s = default_serve_job_timeout()
+            self.job_timeout_s = env.serve_job_timeout_s
         if self.workers < 1:
             raise ConfigError(f"serve: workers must be >= 1, got {self.workers}")
         if self.queue_bound < 1:
@@ -150,15 +143,10 @@ class _Task:
     """One admitted fresh execution; followers share its futures list."""
 
     fingerprint: str
-    job_data: dict[str, Any]
-    describe: str
+    job: Job
     deadline: float | None
     enqueued: float
     futures: list[asyncio.Future] = field(default_factory=list)
-
-
-#: Queue sentinel that makes a worker supervisor loop exit.
-_STOP = object()
 
 
 class SimulationServer:
@@ -170,12 +158,17 @@ class SimulationServer:
         self.cache: ResultCache | None = (
             None if config.no_cache else ResultCache(config.cache_dir)
         )
-        self.pool: WorkerPool | None = None
         self.bound_port: int | None = None
         self._queue: asyncio.Queue = None  # type: ignore[assignment]
         self._inflight: dict[str, _Task] = {}
         self._executing = 0
-        self._seq = 0
+        #: One task per execution slot, each running a job at a time.
+        self._slots: list[asyncio.Task] = []
+        #: Settings every job process exports before running its job.
+        self._job_env = {
+            "snapshot_dir": config.snapshot_dir,
+            "prefix_dir": config.prefix_dir,
+        }
         self._draining = False
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -209,17 +202,9 @@ class SimulationServer:
         self._shutdown = asyncio.Event()
         self._queue = asyncio.Queue()
         self._started = loop.time()
-        if self.cfg.snapshot_dir is not None:
-            # Must land in the environment before the pool forks so every
-            # worker inherits it (campaign.execute_job reads it per job).
-            settings.set_env("snapshot_dir", str(self.cfg.snapshot_dir))
-        if self.cfg.prefix_dir is not None:
-            # Same pre-fork rule: workers read it per job to warm-start.
-            settings.set_env("prefix_dir", str(self.cfg.prefix_dir))
-        self.pool = WorkerPool(self.cfg.workers)
-        supervisors = [
-            asyncio.ensure_future(self._worker_loop(worker))
-            for worker in self.pool.workers
+        self._slots = [
+            asyncio.ensure_future(self._slot_loop())
+            for _ in range(self.cfg.workers)
         ]
 
         if self.cfg.socket_path:
@@ -248,7 +233,7 @@ class SimulationServer:
 
         self._log(
             f"listening on {where} "
-            f"(pid {os.getpid()}, {len(self.pool)} warm workers, "
+            f"(pid {os.getpid()}, {self.cfg.workers} job slots, "
             f"queue bound {self.cfg.queue_bound}, "
             f"cache {'off' if self.cache is None else self.cache.root})"
         )
@@ -272,29 +257,21 @@ class SimulationServer:
                 task = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 break
-            if task is not _STOP:
-                abandoned += 1
-                self._resolve(
-                    task,
-                    ("error", E_SHUTTING_DOWN, "daemon drained before this job ran"),
-                )
-        for _ in supervisors:
-            self._queue.put_nowait(_STOP)
-        # A worker stuck past the drain window must not hang the exit:
-        # give supervisors a bounded grace period, then cancel.
-        _, stuck = await asyncio.wait(
-            supervisors, timeout=self.cfg.drain_timeout_s + 5.0
-        )
-        for supervisor in stuck:  # pragma: no cover - wedged worker
-            supervisor.cancel()
-        if stuck:  # pragma: no cover - wedged worker
-            await asyncio.wait(stuck, timeout=2.0)
+            abandoned += 1
+            self._resolve(
+                task,
+                ("error", E_SHUTTING_DOWN, "daemon drained before this job ran"),
+            )
+        # Stop every slot: idle ones wait on the queue, busy ones are past
+        # the drain window and kill their job process on cancellation.
+        for slot in self._slots:
+            slot.cancel()
+        await asyncio.wait(self._slots)
         for task in list(self._inflight.values()):
             abandoned += 1
             self._resolve(
                 task, ("error", E_SHUTTING_DOWN, "daemon drained mid-job")
             )
-        self.pool.stop()
         # Let handlers flush final responses, then close their streams
         # and wait for them to finish — leaving them to be cancelled by
         # asyncio.run() would log spurious CancelledError tracebacks.
@@ -486,8 +463,7 @@ class SimulationServer:
         future = loop.create_future()
         task = _Task(
             fingerprint=fingerprint,
-            job_data=job.to_dict(),
-            describe=job.describe(),
+            job=job,
             deadline=(began + deadline_s) if deadline_s is not None else None,
             enqueued=began,
             futures=[future],
@@ -554,12 +530,12 @@ class SimulationServer:
     def _retry_after(self) -> float:
         """How long an over-admission client should back off.
 
-        Estimate: backlog x mean execution time, spread over the workers
-        *currently alive* — a worker mid-respawn (or a pool already torn
-        down during drain) must not zero the divisor. Before any sample
-        exists the mean falls back to half the configured job timeout (a
-        job is admitted expecting to finish within it), or 0.5 s when no
-        timeout is configured.
+        Estimate: backlog x mean execution time, spread over the job slots
+        *currently alive* — slots not yet started (or already stopped by a
+        drain) must not zero the divisor. Before any sample exists the
+        mean falls back to half the configured job timeout (a job is
+        admitted expecting to finish within it), or 0.5 s when no timeout
+        is configured.
         """
         exec_hist = self.metrics.histogram("serve.exec_us")
         if exec_hist.count:
@@ -569,17 +545,18 @@ class SimulationServer:
         else:
             mean_s = 0.5
         backlog = self._queue.qsize() + self._executing
-        workers = max(1, self.pool.alive if self.pool is not None else 0)
+        workers = max(1, self._alive_slots())
         return round(max(0.05, mean_s * backlog / workers), 3)
 
-    # --- Worker supervision ----------------------------------------------
+    def _alive_slots(self) -> int:
+        return sum(1 for slot in self._slots if not slot.done())
 
-    async def _worker_loop(self, worker: Worker) -> None:
+    # --- Job execution ---------------------------------------------------
+
+    async def _slot_loop(self) -> None:
         assert self._loop is not None
         while True:
             task = await self._queue.get()
-            if task is _STOP:
-                break
             now = self._loop.time()
             if task.deadline is not None and now >= task.deadline:
                 self.metrics.counter("serve.deadline_misses").inc()
@@ -597,103 +574,81 @@ class SimulationServer:
             )
             self._executing += 1
             try:
-                await self._execute(worker, task, attempt=0)
+                await self._execute(task)
             finally:
                 self._executing -= 1
 
-    async def _execute(self, worker: Worker, task: _Task, attempt: int) -> None:
+    async def _execute(self, task: _Task) -> None:
+        """Run one job in a fresh process; a crash or timeout is retried
+        once in another, a deadline or the job's own exception is final."""
         assert self._loop is not None
-        self._seq += 1
-        seq = self._seq
-        now = self._loop.time()
-        job_timeout = self.cfg.job_timeout_s
-        deadline_left = (
-            task.deadline - now if task.deadline is not None else None
-        )
-        timeout = job_timeout
-        deadline_is_binding = False
-        if deadline_left is not None and (
-            timeout is None or deadline_left <= timeout
-        ):
-            timeout = deadline_left
-            deadline_is_binding = True
-        try:
-            worker.submit(seq, task.job_data)
-        except (OSError, ValueError):
-            await self._recover(worker, task, attempt, "crash", "worker pipe closed")
-            return
-        began = self._loop.time()
-        try:
-            assert worker.conn is not None
-            message = await asyncio.wait_for(conn_recv(worker.conn), timeout=timeout)
-        except asyncio.TimeoutError:
-            elapsed = self._loop.time() - began
-            kind = "deadline" if deadline_is_binding else "timeout"
-            await self._recover(
-                worker, task, attempt, kind,
-                f"{'deadline expired' if deadline_is_binding else 'timed out'} "
-                f"after {elapsed:.3f}s on worker {worker.id}",
-            )
-            return
-        except (EOFError, OSError):
-            exitcode = worker.process.exitcode if worker.process else None
-            await self._recover(
-                worker, task, attempt, "crash",
-                f"worker {worker.id} exited (code {exitcode})",
-            )
-            return
-        if message[0] != seq:  # pragma: no cover - defensive desync guard
-            await self._recover(
-                worker, task, attempt, "crash",
-                f"worker {worker.id} answered out of sequence",
-            )
-            return
-        worker.jobs_done += 1
-        self.metrics.histogram("serve.exec_us").observe(
-            max(0.0, (self._loop.time() - began) * 1e6)
-        )
-        if message[1] == "ok":
-            envelope = message[2]
+        describe = task.job.describe()
+        for attempt in (0, 1):
+            timeout = self.cfg.job_timeout_s
+            deadline_is_binding = False
+            if task.deadline is not None:
+                left = task.deadline - self._loop.time()
+                if timeout is None or left <= timeout:
+                    timeout, deadline_is_binding = left, True
+            began = self._loop.time()
+            try:
+                proc = JobProcess(task.job, self._job_env)
+            except OSError as exc:
+                self._resolve(task, ("error", E_INTERNAL, f"cannot fork a job: {exc}"))
+                return
+            try:
+                message = await asyncio.wait_for(_outcome(proc), timeout=timeout)
+            except asyncio.TimeoutError:
+                proc.kill()
+                kind = "deadline" if deadline_is_binding else "timeout"
+                what = "deadline expired" if deadline_is_binding else "timed out"
+                detail = f"{what} after {self._loop.time() - began:.3f}s"
+            except BaseException:  # cancelled by the drain: take the child down
+                proc.kill()
+                raise
+            else:
+                if message[0] != "crash":
+                    self._finish(task, message, self._loop.time() - began)
+                    return
+                kind, detail = "crash", message[1]
+            # The job process is gone (killed or died): count its
+            # replacement, then apply the fault policy.
+            self.metrics.counter("serve.worker_restarts").inc()
+            if kind == "deadline":
+                self.metrics.counter("serve.deadline_misses").inc()
+                self._resolve(task, ("error", E_DEADLINE, detail))
+                return
+            self.metrics.counter(
+                "serve.worker_crashes" if kind == "crash" else "serve.worker_timeouts"
+            ).inc()
+            if attempt == 0:
+                self.metrics.counter("serve.retries").inc()
+                self._log(f"retrying {describe}: {detail}")
+        self._log(f"job {describe} failed twice: {detail}")
+        self._resolve(task, ("error", E_JOB_FAILED, f"job failed twice: {detail}"))
+
+    def _finish(self, task: _Task, message: tuple, elapsed: float) -> None:
+        """Answer a job process's report: its envelope or its exception."""
+        self.metrics.histogram("serve.exec_us").observe(max(0.0, elapsed * 1e6))
+        if message[0] == "ok":
+            envelope = message[1]
             if self.cache is not None:
                 try:
                     self.cache.put_envelope(task.fingerprint, envelope)
                 except (OSError, SerializationError) as exc:
-                    self._log(f"cache write failed for {task.describe}: {exc}")
+                    self._log(f"cache write failed for {task.job.describe()}: {exc}")
             self._resolve(task, ("ok", envelope))
-        else:
-            _, _, name, text, trace = message
-            self.metrics.counter("serve.job_failures").inc()
-            code = E_INVALID_JOB if name == "ConfigError" else E_JOB_FAILED
-            self._log(f"job {task.describe} raised {name}: {text}")
-            self._resolve(task, ("error", code, f"{name}: {text}"))
-
-    async def _recover(
-        self, worker: Worker, task: _Task, attempt: int, kind: str, detail: str
-    ) -> None:
-        """Crash/timeout/deadline recovery: kill, respawn, maybe retry."""
-        worker.respawn()
-        self.metrics.counter("serve.worker_restarts").inc()
-        if kind == "deadline":
-            self.metrics.counter("serve.deadline_misses").inc()
-            self._resolve(task, ("error", E_DEADLINE, detail))
             return
-        self.metrics.counter(
-            "serve.worker_crashes" if kind == "crash" else "serve.worker_timeouts"
-        ).inc()
-        if attempt == 0:
-            self.metrics.counter("serve.retries").inc()
-            self._log(f"retrying {task.describe}: {detail}")
-            await self._execute(worker, task, attempt=1)
-        else:
-            self._log(f"job {task.describe} failed twice: {detail}")
-            self._resolve(
-                task, ("error", E_JOB_FAILED, f"job failed twice: {detail}")
-            )
+        _, name, text, _trace = message
+        self.metrics.counter("serve.job_failures").inc()
+        code = E_INVALID_JOB if name == "ConfigError" else E_JOB_FAILED
+        self._log(f"job {task.job.describe()} raised {name}: {text}")
+        self._resolve(task, ("error", code, f"{name}: {text}"))
 
     # --- Introspection verbs ---------------------------------------------
 
     def _handle_health(self, request_id: Any) -> dict[str, Any]:
-        assert self._loop is not None and self.pool is not None
+        assert self._loop is not None
         return ok_response(
             request_id,
             verb="health",
@@ -701,9 +656,9 @@ class SimulationServer:
             protocol=PROTOCOL_VERSION,
             pid=os.getpid(),
             workers={
-                "configured": len(self.pool),
-                "alive": self.pool.alive,
-                "restarts": self.pool.restarts,
+                "configured": self.cfg.workers,
+                "alive": self._alive_slots(),
+                "restarts": self.metrics.counter("serve.worker_restarts").value,
             },
             queue_depth=self._queue.qsize(),
             queue_bound=self.cfg.queue_bound,
@@ -745,7 +700,7 @@ class SimulationServer:
         )
 
     def _handle_list(self, request_id: Any) -> dict[str, Any]:
-        from repro.cli import _workload_names
+        from repro.cli._common import _workload_names
 
         return ok_response(
             request_id,
@@ -827,3 +782,22 @@ class SimulationServer:
         return ok_response(
             request.id, verb="prefix-put", key=key, stored=stored
         )
+
+
+async def _outcome(proc: JobProcess) -> tuple:
+    """Await a job process's report without blocking the event loop: the
+    result pipe turns readable when the child sends or dies."""
+    loop = asyncio.get_running_loop()
+    readable: asyncio.Future = loop.create_future()
+    fd = proc.conn.fileno()
+
+    def _ready() -> None:
+        if not readable.done():
+            readable.set_result(None)
+
+    loop.add_reader(fd, _ready)
+    try:
+        await readable
+    finally:
+        loop.remove_reader(fd)
+    return proc.outcome()

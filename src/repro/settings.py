@@ -2,13 +2,13 @@
 
 Every ``REPRO_*`` knob the package honors is declared here, parsed here,
 and validated here. The rest of the codebase never touches
-``os.environ`` for configuration (a lint test pins that): call sites use
-the per-field accessor functions below, which re-read the environment on
-every call — the long-standing contract that lets tests flip a knob
-per-case with ``monkeypatch.setenv`` and lets the serve daemon export
-config *pre-fork* so workers inherit it.
+``os.environ`` for configuration (a lint test pins that): every reader
+calls :meth:`Settings.from_env` when it runs — once per batch or per
+job, never per simulated event, never at construction time — so tests
+can flip a knob per-case with ``monkeypatch.setenv`` and job processes
+see what their parent exported before forking them.
 
-:class:`Settings` is the same 14 knobs as one frozen, typed value:
+:class:`Settings` is the 13 knobs as one frozen, typed value:
 
 - :meth:`Settings.from_env` is the single parse point (validation and
   typed defaults included) — call it with no argument for the process
@@ -19,14 +19,15 @@ config *pre-fork* so workers inherit it.
   ``repro.serve`` node or exporting before a fork
   (``from_env(to_env(s)) == s`` is pinned by a hypothesis test);
 - :meth:`Settings.apply` writes that dict into ``os.environ`` (and
-  *clears* managed vars the settings leave at default), which is how the
-  serve daemon and the dist coordinator hand a whole configuration to
-  child processes at once.
+  *clears* managed vars the settings leave at default), handing a whole
+  configuration to child processes at once;
+- :func:`set_env` writes one knob (the CLI's and the job launcher's
+  plumbing).
 
 Precedence everywhere is **CLI flag > environment > default**: the CLI
 passes explicit values down as arguments; anything left ``None`` falls
-back to the accessor (environment), which falls back to the typed
-default.
+back to :meth:`Settings.from_env` (environment), which falls back to
+the typed default.
 
 The knobs:
 
@@ -39,10 +40,9 @@ The knobs:
 ``REPRO_PREFIX_DIR``     warm-start prefix store (off)
 ``REPRO_PREFIX_EPOCH``   warm-start divergence epoch (0)
 ``REPRO_PROGRESS``       stream per-job progress lines (off)
-``REPRO_SCALAR``         force the scalar reference fast paths (off)
-``REPRO_SERVE_WORKERS``  serve daemon warm workers (2)
+``REPRO_SERVE_WORKERS``  serve daemon concurrent job processes (2)
 ``REPRO_SERVE_QUEUE``    serve admission bound (64)
-``REPRO_SERVE_JOB_TIMEOUT`` seconds per job on a serve worker (none)
+``REPRO_SERVE_JOB_TIMEOUT`` seconds per serve job process (none)
 ``REPRO_PERF_INJECT``    multiply deterministic bench samples (off)
 ``REPRO_BENCH_FORCE``    overwrite benchmark reports cross-commit (off)
 ======================== =============================================
@@ -130,9 +130,9 @@ def _str_flag(value: Any) -> str:
     return "1" if value else "0"
 
 
-#: Field name -> knob declaration. The authoritative knob catalog: the
-#: accessors, :meth:`Settings.from_env`, and :meth:`Settings.to_env` are
-#: all generated from it, so a new knob is one line here plus a field on
+#: Field name -> knob declaration. The authoritative knob catalog:
+#: :meth:`Settings.from_env` and :meth:`Settings.to_env` are both
+#: generated from it, so a new knob is one line here plus a field on
 #: :class:`Settings`.
 FIELDS: dict[str, _Field] = {
     "jobs": _Field(
@@ -148,7 +148,6 @@ FIELDS: dict[str, _Field] = {
         "REPRO_PREFIX_EPOCH", lambda v, r: _parse_int(v, r, 0), 0, _str_plain
     ),
     "progress": _Field("REPRO_PROGRESS", _parse_flag, False, _str_flag),
-    "scalar": _Field("REPRO_SCALAR", _parse_flag, False, _str_flag),
     "serve_workers": _Field(
         "REPRO_SERVE_WORKERS", lambda v, r: _parse_int(v, r, 1), 2, _str_plain,
         empty_unsets=False,
@@ -194,7 +193,6 @@ class Settings:
     prefix_dir: Path | None = None
     prefix_epoch: int = 0
     progress: bool = False
-    scalar: bool = False
     serve_workers: int = 2
     serve_queue: int = 64
     serve_job_timeout_s: float | None = None
@@ -278,90 +276,13 @@ class Settings:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
-# --- Per-field accessors ----------------------------------------------------
-#
-# These re-read the environment on every call (two dict probes plus a
-# tiny parse), preserving the monkeypatch-friendly semantics the old
-# scattered ``os.environ.get`` sites had — and keeping error locality: a
-# malformed REPRO_JOBS cannot break a REPRO_SCALAR query.
-
-
-def max_workers() -> int:
-    """Campaign worker count from ``REPRO_JOBS`` (0 = all CPUs)."""
-    jobs = _read("jobs")
-    return jobs if jobs > 0 else (os.cpu_count() or 1)
-
-
-def job_timeout_s() -> float | None:
-    """Per-job pool timeout in seconds (``REPRO_JOB_TIMEOUT``)."""
-    return _read("job_timeout_s")
-
-
-def cache_dir() -> Path | None:
-    """Result cache root override (``REPRO_CACHE_DIR``)."""
-    return _read("cache_dir")
-
-
-def trace_dir() -> Path | None:
-    """Per-job trace artifact directory (``REPRO_TRACE_DIR``)."""
-    return _read("trace_dir")
-
-
-def snapshot_dir() -> Path | None:
-    """Per-job checkpoint directory (``REPRO_SNAPSHOT_DIR``)."""
-    return _read("snapshot_dir")
-
-
-def prefix_dir() -> Path | None:
-    """Warm-start prefix store root (``REPRO_PREFIX_DIR``)."""
-    return _read("prefix_dir")
-
-
-def prefix_epoch() -> int:
-    """Warm-start divergence epoch (``REPRO_PREFIX_EPOCH``)."""
-    return _read("prefix_epoch")
-
-
-def progress_enabled() -> bool:
-    """Whether per-job progress lines stream (``REPRO_PROGRESS``)."""
-    return _read("progress")
-
-
-def scalar_mode() -> bool:
-    """Whether ``REPRO_SCALAR`` forces the scalar reference paths."""
-    return _read("scalar")
-
-
-def serve_workers() -> int:
-    """Serve daemon warm worker count (``REPRO_SERVE_WORKERS``)."""
-    return _read("serve_workers")
-
-
-def serve_queue() -> int:
-    """Serve admission bound (``REPRO_SERVE_QUEUE``)."""
-    return _read("serve_queue")
-
-
-def serve_job_timeout_s() -> float | None:
-    """Seconds one job may hold a serve worker (``REPRO_SERVE_JOB_TIMEOUT``)."""
-    return _read("serve_job_timeout_s")
-
-
-def perf_inject() -> float | None:
-    """Deterministic-sample multiplier for gate drills (``REPRO_PERF_INJECT``)."""
-    return _read("perf_inject")
-
-
-def bench_force() -> bool:
-    """Whether cross-commit report overwrites are allowed (``REPRO_BENCH_FORCE``)."""
-    return _read("bench_force")
-
-
 def set_env(field: str, value: Any) -> None:
-    """Write one knob into ``os.environ`` (the CLI's pre-fork plumbing).
+    """Write one knob into ``os.environ`` (the CLI's and the job
+    launcher's pre-run plumbing).
 
     ``None`` clears the variable. Values are serialized through the
-    field's canonical form, so a later accessor read agrees exactly.
+    field's canonical form, so a later :meth:`Settings.from_env` read
+    agrees exactly.
     """
     decl = FIELDS[field]
     if value is None:

@@ -30,7 +30,6 @@ from repro.snapshot.prefix import (
     PrefixStore,
     default_prefix_dir,
     fork_simulation,
-    prefix_divergence_epoch,
     prefix_key,
     prefix_plan,
     prefix_store_dir,
@@ -48,7 +47,6 @@ __all__ = [
     "capture_simulation",
     "default_prefix_dir",
     "fork_simulation",
-    "prefix_divergence_epoch",
     "prefix_key",
     "prefix_plan",
     "prefix_store_dir",

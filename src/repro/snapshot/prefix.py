@@ -45,9 +45,9 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro import settings
 from repro.core.config import RevokerKind
 from repro.errors import SnapshotError
+from repro.settings import Settings
 from repro.snapshot.capture import restore_simulation
 from repro.snapshot.session import SnapshotPlan
 
@@ -64,23 +64,18 @@ PREFIX_FRACTION = 0.85
 
 def default_prefix_dir() -> Path:
     """``$REPRO_PREFIX_DIR``, else ``~/.cache/repro/prefixes``."""
-    env = settings.prefix_dir()
+    env = prefix_store_dir()
     if env is not None:
         return env
     return Path.home() / ".cache" / "repro" / "prefixes"
 
 
-def prefix_store_dir() -> Path | None:
-    """Where warm-start prefixes live (``$REPRO_PREFIX_DIR``), or None
-    when warm-starting is off. Inherited by pool and serve workers, the
-    same way trace/snapshot artifact dirs are."""
-    return settings.prefix_dir()
-
-
-def prefix_divergence_epoch() -> int:
-    """The divergence epoch for runner-managed prefixes
-    (``$REPRO_PREFIX_EPOCH``, default 0 — the cross-revoker point)."""
-    return settings.prefix_epoch()
+def prefix_store_dir(env: Settings | None = None) -> Path | None:
+    """Where warm-start prefixes live (``$REPRO_PREFIX_DIR``, or
+    ``env.prefix_dir`` when the caller already read its settings), or
+    None when warm-starting is off. Inherited by pool and serve job
+    processes, the same way trace/snapshot artifact dirs are."""
+    return (env or Settings.from_env()).prefix_dir
 
 
 def prefix_key(
@@ -117,7 +112,7 @@ def prefix_key(
         "code": code_version if code_version is not None else code_fingerprint(),
         "snapshot_format": FORMAT_VERSION,
         "result_format": RESULT_FORMAT_VERSION,
-        "traced": settings.trace_dir() is not None,
+        "traced": Settings.from_env().trace_dir is not None,
     }
     return hashlib.sha256(canonical_json(material).encode()).hexdigest()
 

@@ -171,17 +171,15 @@ class TestCampaignCommand:
 
 
 class TestServeBenchShim:
-    """Both spellings forward to the load generator before the main
-    parser runs; only the deprecated one warns, and only once."""
+    """``serve bench`` forwards to the load generator before the main
+    parser runs."""
 
     @pytest.fixture()
     def bench_spy(self, monkeypatch):
-        import repro.cli as cli
         import repro.serve.bench as bench
 
         calls = []
         monkeypatch.setattr(bench, "main", lambda argv: calls.append(argv) or 0)
-        monkeypatch.setattr(cli, "_SERVE_BENCH_WARNED", False)
         return calls
 
     def test_serve_bench_forwards_silently(self, bench_spy, recwarn, capsys):
@@ -190,17 +188,14 @@ class TestServeBenchShim:
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
         assert "deprecated" not in capsys.readouterr().err
 
-    def test_old_spelling_forwards_with_one_warning(self, bench_spy, capsys):
-        with pytest.warns(DeprecationWarning, match="serve bench"):
-            assert main(["serve-bench", "--requests", "3"]) == 0
-        assert "deprecated" in capsys.readouterr().err
-        # Second use in the same process stays quiet.
-        assert main(["serve-bench", "--concurrency", "2"]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert bench_spy == [["--requests", "3"], ["--concurrency", "2"]]
+    def test_removed_top_level_spelling_is_a_usage_error(self, bench_spy, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-bench", "--requests", "3"])
+        assert excinfo.value.code == 2
+        assert bench_spy == []
 
     def test_leading_options_reach_the_load_generator(self, bench_spy):
         # bpo-17050: REMAINDER cannot capture a leading --option; the
-        # pre-dispatch must, for both spellings.
+        # pre-dispatch must.
         assert main(["serve", "bench", "--autostart", "--requests", "1"]) == 0
         assert bench_spy[-1] == ["--autostart", "--requests", "1"]

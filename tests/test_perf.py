@@ -6,7 +6,7 @@ PerfReport schema round-trip (property-based), the content-addressed
 baseline store with its git-sha overwrite guard, the runner's
 warmup/repetition semantics, the end-to-end gate exit codes (including
 the documented ``REPRO_PERF_INJECT`` 2x-regression drill), and the
-legacy report converters.
+serve load generator's report envelope.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.perf.report import (
     MetricSeries,
     PerfReport,
     check_overwrite,
-    convert_legacy,
 )
 from repro.perf.runner import Runner
 
@@ -234,8 +233,9 @@ class TestPerfReport:
             PerfReport.from_dict(data)
 
     def test_legacy_shape_refused_with_hint(self):
-        with pytest.raises(PerfError, match="convert"):
+        with pytest.raises(PerfError, match="re-record") as excinfo:
             PerfReport.from_dict({"benchmark": "sweep_micro"})
+        assert "bench convert" not in str(excinfo.value)
 
     def test_unknown_metric_kind_refused(self):
         with pytest.raises(PerfError, match="kind"):
@@ -410,30 +410,14 @@ class TestGateEndToEnd:
         assert report.config["inject"] == 2.0
 
 
-# --- Legacy converters -------------------------------------------------------
+# --- The serve load generator's report --------------------------------------
 
 
-class TestConvertLegacy:
-    def test_sweep_micro_upgrades(self):
-        legacy = {
-            "benchmark": "sweep_micro",
-            "config": {"pages": 64},
-            "host": {"python": "3.11.0", "machine": "x86_64"},
-            "scalar": {"scan_s": 2.0, "revoke_s": 3.0, "stream_s": 4.0},
-            "vectorized": {"scan_s": 1.0, "revoke_s": 1.5, "stream_s": 2.0},
-            "speedup": {"scan": 2.0, "revoke": 2.0, "stream": 2.0},
-        }
-        report = convert_legacy(legacy)
-        assert report.suite == "sweep-micro"
-        assert report.env["git_sha"] is None
-        assert report.benchmarks["sweep.scan"].metrics["wall_s"].samples == [1.0]
-        assert report.benchmarks["sweep.scan"].metrics["scalar_wall_s"].samples == [2.0]
-        assert report.detail["legacy"] is True
-        # And the upgraded report survives its own round-trip.
-        assert PerfReport.loads(report.dumps()).to_dict() == report.to_dict()
+class TestServeBenchReport:
+    def test_phases_become_wall_metrics_with_raw_detail(self):
+        from repro.serve.bench import perf_report
 
-    def test_serve_upgrades(self):
-        legacy = {
+        raw = {
             "benchmark": "serve",
             "config": {"requests": 60},
             "service": {
@@ -442,20 +426,14 @@ class TestConvertLegacy:
                 "mean_ms": 10.0, "wall_s": 0.21,
             },
         }
-        report = convert_legacy(legacy)
+        report = perf_report(raw)
         assert report.suite == "serve"
         assert report.benchmarks["serve.service"].metrics["throughput_rps"].samples == [
             280.0
         ]
+        assert report.benchmarks["serve.service"].config["ok"] == 60
         assert report.detail["raw"]["service"]["ok"] == 60
-
-    def test_v1_passes_through(self):
-        report = _stamped("smoke", "aaa")
-        assert convert_legacy(report.to_dict()).to_dict() == report.to_dict()
-
-    def test_unrecognized_refused(self):
-        with pytest.raises(PerfError, match="unrecognized"):
-            convert_legacy({"benchmark": "mystery"})
+        assert PerfReport.loads(report.dumps()).to_dict() == report.to_dict()
 
 
 # --- The committed baseline stays loadable -----------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import RevokerKind
 from repro.runner import (
+    CampaignJobError,
     CampaignProgress,
     CampaignSpec,
     Job,
@@ -25,13 +26,10 @@ from repro.runner import (
     run_campaign,
     run_jobs,
 )
+from repro.runner.cache import job_fingerprint
 from repro.runner.campaign import register_workload
-from repro.runner.pool import (
-    CampaignJobError,
-    default_max_workers,
-    default_timeout_s,
-)
 from repro.runner.serialize import dumps_result
+from repro.settings import Settings
 from repro.workloads.base import Workload
 
 pytestmark = pytest.mark.skipif(
@@ -177,6 +175,39 @@ class TestFaultTolerance:
             )
         assert progress.retries == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_job_settles_the_whole_batch_first(
+        self, scratch_kind, tmp_path, workers
+    ):
+        """The Executor contract: a job's own exception is a terminal
+        failure of that job only. The rest of the batch still runs and
+        lands in the cache; CampaignJobError comes once all have settled."""
+
+        def middle_boom(boom=False):
+            if boom:
+                raise RuntimeError("middle job boom")
+            return _TinyWorkload()
+
+        kind = scratch_kind(middle_boom)
+        good_a = Job(WorkloadSpec(kind), RevokerKind.NONE)
+        bad = Job(WorkloadSpec(kind, {"boom": True}), RevokerKind.NONE)
+        good_b = Job(WorkloadSpec(kind), RevokerKind.RELOADED)
+        cache = ResultCache(tmp_path)
+        progress = CampaignProgress(3)
+        with pytest.raises(CampaignJobError, match="1 of 3 jobs") as excinfo:
+            run_jobs(
+                [good_a, bad, good_b],
+                max_workers=workers,
+                cache=cache,
+                progress=progress,
+            )
+        assert "middle job boom" in str(excinfo.value)
+        assert progress.done == 3
+        assert progress.failures == 1
+        assert job_fingerprint(good_a) in cache
+        assert job_fingerprint(good_b) in cache
+        assert job_fingerprint(bad) not in cache
+
 
 class TestInterruptCleanup:
     def test_keyboard_interrupt_reaps_workers(self, scratch_kind, monkeypatch):
@@ -281,14 +312,14 @@ class TestInProcessFallback:
 
     def test_env_default_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_max_workers() == 3
+        assert Settings.from_env().max_workers() == 3
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert default_max_workers() == (os.cpu_count() or 1)
+        assert Settings.from_env().max_workers() == (os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_JOBS", "nope")
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            default_max_workers()
+            Settings.from_env().max_workers()
 
 
 class TestProgress:
@@ -376,11 +407,11 @@ class TestProgress:
 class TestTimeoutKnob:
     def test_unset_means_no_timeout(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-        assert default_timeout_s() is None
+        assert Settings.from_env().job_timeout_s is None
 
     def test_positive_value_parsed(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "2.5")
-        assert default_timeout_s() == pytest.approx(2.5)
+        assert Settings.from_env().job_timeout_s == pytest.approx(2.5)
 
     @pytest.mark.parametrize("raw", ["0", "-1", "-0.5"])
     def test_non_positive_rejected(self, monkeypatch, raw):
@@ -390,11 +421,11 @@ class TestTimeoutKnob:
 
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", raw)
         with pytest.raises(ConfigError, match="REPRO_JOB_TIMEOUT"):
-            default_timeout_s()
+            Settings.from_env()
 
     def test_garbage_rejected(self, monkeypatch):
         from repro.errors import ConfigError
 
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
         with pytest.raises(ConfigError):
-            default_timeout_s()
+            Settings.from_env()

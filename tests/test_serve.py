@@ -1,17 +1,18 @@
 """The serving layer: wire protocol, daemon behavior, client library.
 
-Protocol and config tests run anywhere; the end-to-end tests fork warm
-workers (runtime-registered scratch kinds only cross the fork boundary
-under the ``fork`` start method, same as the pool tests) and drive a
-real daemon on a Unix socket from a background thread.
+Protocol and config tests run anywhere; the end-to-end tests fork one
+job process per job (runtime-registered scratch kinds only cross the
+fork boundary under the ``fork`` start method, same as the pool tests)
+and drive a real daemon on a Unix socket from a background thread.
 
 The load-bearing guarantees:
 
 - a served result is byte-identical to the same job run in-process;
 - cache hits and in-flight duplicates never touch a worker;
 - overload is a structured rejection, not a hang or a crash;
-- worker crashes, timeouts, and deadlines kill + respawn + (where the
-  fault policy says so) retry once — the daemon itself never dies;
+- job-process crashes, timeouts, and deadlines kill the process and
+  (where the fault policy says so) retry once in a fresh one — the
+  daemon itself never dies;
 - malformed input of every shape leaves the daemon serving.
 """
 
@@ -39,13 +40,8 @@ from repro.serve.client import (
     ServerUnavailable,
 )
 from repro.serve.protocol import ProtocolError
-from repro.serve.server import (
-    ServeConfig,
-    SimulationServer,
-    default_queue_bound,
-    default_serve_job_timeout,
-    default_serve_workers,
-)
+from repro.serve.server import ServeConfig, SimulationServer
+from repro.settings import Settings
 from repro.workloads.base import Workload
 
 needs_fork = pytest.mark.skipif(
@@ -93,6 +89,20 @@ class TestProtocol:
         assert err["ok"] is False
         assert err["error"] == {"code": "overloaded", "message": "full"}
         assert err["retry_after_s"] == 0.5
+
+
+# Readers of the knobs ServeConfig defaults from, one per parametrized
+# case of test_bad_env_knobs_are_loud.
+def default_serve_workers():
+    return Settings.from_env().serve_workers
+
+
+def default_queue_bound():
+    return Settings.from_env().serve_queue
+
+
+def default_serve_job_timeout():
+    return Settings.from_env().serve_job_timeout_s
 
 
 class TestServeConfig:
@@ -604,6 +614,38 @@ class TestWireRobustness:
         finally:
             _stop(server, thread)
 
+    def test_closed_connection_reads_eof_after_a_crash(self, tmp_path):
+        """Job processes must not hold client sockets open. Connection A
+        is open while a crashed job is replaced and while another job
+        runs; when the daemon closes A, A still reads EOF at once."""
+        server, thread, sock_path = _start(
+            tmp_path, max_line_bytes=1024, no_cache=True
+        )
+        try:
+            with self._raw(sock_path) as conn_a:
+                reader = conn_a.makefile("rb")
+                flag = str(tmp_path / "crashed-once")
+                with _client(sock_path) as conn_b:
+                    response = conn_b.run(
+                        "serve-crash-once", {"flag": flag}, revoker="none"
+                    )
+                assert response.result.wall_cycles > 0
+                sleeper = threading.Thread(
+                    target=lambda: _client(sock_path).run(
+                        "serve-sleepy", {"delay": 3.0, "tag": 1100}, revoker="none"
+                    )
+                )
+                sleeper.start()
+                time.sleep(0.5)  # the sleepy job's process is running
+                conn_a.sendall(b'{"verb": "ping", "pad": "' + b"x" * 4096 + b'"}\n')
+                response = json.loads(reader.readline())
+                assert response["error"]["code"] == "oversized"
+                conn_a.settimeout(1.0)
+                assert reader.readline() == b""  # EOF, not a 1 s timeout
+                sleeper.join(timeout=30)
+        finally:
+            _stop(server, thread)
+
     def test_disconnect_mid_request_leaves_daemon_alive(self, served):
         _, sock_path = served
         with self._raw(sock_path) as sock:
@@ -688,8 +730,8 @@ class TestLifecycle:
 
 class TestRetryAfterHint:
     """Unit coverage for the retry_after_s computation: the cold-start
-    fallback derives from the configured job timeout, and an empty or
-    respawning pool can never zero the divisor."""
+    fallback derives from the configured job timeout, and a daemon with
+    no live job slot can never zero the divisor."""
 
     def _server(self, tmp_path, **overrides):
         settings = {"workers": 2, "queue_bound": 4}
@@ -709,38 +751,21 @@ class TestRetryAfterHint:
 
     def test_cold_start_derives_from_job_timeout(self, tmp_path):
         server = self._server(tmp_path, job_timeout_s=4.0)
-        server.pool = None
-        # mean 2 s (half the timeout) x backlog 4, worker floor of 1.
+        # No job slot started yet: mean 2 s (half the timeout) x backlog
+        # 4, worker floor of 1.
         assert server._retry_after() == pytest.approx(8.0)
 
     def test_cold_start_without_timeout_falls_back(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_JOB_TIMEOUT", raising=False)
         server = self._server(tmp_path)
-        server.pool = None
         assert server._retry_after() == pytest.approx(0.5 * 4)
-
-    def test_dead_pool_does_not_zero_the_divisor(self, tmp_path):
-        # During drain (or mid-respawn) every worker can be gone; the
-        # old len(self.pool) division assumed a healthy pool.
-        server = self._server(tmp_path, job_timeout_s=2.0)
-
-        class _DeadPool:
-            alive = 0
-
-            def __len__(self):
-                return 2
-
-        server.pool = _DeadPool()
-        assert server._retry_after() == pytest.approx(4.0)
 
     def test_live_workers_spread_the_backlog(self, tmp_path):
         server = self._server(tmp_path, job_timeout_s=2.0)
 
-        class _Pool:
-            alive = 2
+        class _LiveSlot:
+            def done(self):
+                return False
 
-            def __len__(self):
-                return 2
-
-        server.pool = _Pool()
+        server._slots = [_LiveSlot(), _LiveSlot()]
         assert server._retry_after() == pytest.approx(2.0)

@@ -39,7 +39,7 @@ class TestDefaults:
         for name, decl in FIELDS.items():
             assert decl.var.startswith("REPRO_")
             assert hasattr(s, name)
-        assert len(MANAGED_VARS) == len(FIELDS) == 14
+        assert len(MANAGED_VARS) == len(FIELDS) == 13
 
 
 class TestParsing:
@@ -111,7 +111,6 @@ def _settings_strategy():
         prefix_dir=paths,
         prefix_epoch=st.integers(min_value=0, max_value=9),
         progress=st.booleans(),
-        scalar=st.booleans(),
         serve_workers=st.integers(min_value=1, max_value=16),
         serve_queue=st.integers(min_value=1, max_value=256),
         serve_job_timeout_s=timeouts,
@@ -150,31 +149,31 @@ class TestRoundTrip:
 
 
 class TestAccessors:
-    """The module-level accessors re-read the environment per call, so
-    monkeypatched tests (and pre-fork exports) see updates."""
+    """Readers call ``Settings.from_env()`` when they run, so
+    monkeypatched tests (and exports made before a fork) see updates."""
 
     def test_max_workers_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert settings.max_workers() == 1
+        assert Settings.from_env().max_workers() == 1
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert settings.max_workers() == 5
+        assert Settings.from_env().max_workers() == 5
         monkeypatch.setenv("REPRO_JOBS", "0")
         import os
 
-        assert settings.max_workers() == (os.cpu_count() or 1)
+        assert Settings.from_env().max_workers() == (os.cpu_count() or 1)
 
     def test_set_env_round_trips(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         settings.set_env("trace_dir", "/tmp/traces")
-        assert settings.trace_dir() == Path("/tmp/traces")
+        assert Settings.from_env().trace_dir == Path("/tmp/traces")
         settings.set_env("trace_dir", None)
-        assert settings.trace_dir() is None
+        assert Settings.from_env().trace_dir is None
 
     def test_flag_accessor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        assert settings.scalar_mode() is True
-        monkeypatch.setenv("REPRO_SCALAR", "0")
-        assert settings.scalar_mode() is False
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        assert Settings.from_env().progress is True
+        monkeypatch.setenv("REPRO_PROGRESS", "0")
+        assert Settings.from_env().progress is False
 
 
 class TestPrecedence:
@@ -211,11 +210,11 @@ class TestPrecedence:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert main(["campaign", spec_file, "--quiet"]) == 0
         assert seen[-1] is None  # pool default applies
-        assert pool.default_max_workers() == 1
+        assert Settings.from_env().max_workers() == 1
 
         # Env beats default.
         monkeypatch.setenv("REPRO_JOBS", "2")
-        assert pool.default_max_workers() == 2
+        assert Settings.from_env().max_workers() == 2
 
         # Flag beats env.
         assert main(["campaign", spec_file, "--quiet", "--jobs", "3"]) == 0

@@ -1,8 +1,10 @@
 """The vectorized/scalar equivalence suite.
 
-The sweep engine exists twice: the numpy-vectorized fast path (default)
-and the scalar reference model (``REPRO_SCALAR=1``). These tests pin the
-contract that they are *bit-identical*, not merely close: a fixed-seed
+The sweep engine exists twice: the numpy-vectorized fast path that
+production runs and the scalar reference model, which these tests select
+by patching the two fast methods (``Revoker._scan_page_vector`` and
+``Cache._touch_span``) back onto their reference loops. They pin the
+contract that the two are *bit-identical*, not merely close: a fixed-seed
 run of every revocation strategy must produce the same
 :class:`~repro.core.metrics.RunResult` down to individual bus counters,
 wall cycles, pause lists, and per-epoch sweep statistics.
@@ -15,8 +17,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc.quarantine import QuarantinePolicy
 from repro.core.config import RevokerKind, SimulationConfig
 from repro.core.simulation import Simulation
+from repro.kernel.revoker.base import Revoker
+from repro.machine.cache import Cache
 from repro.workloads.churn import ChurnProfile, ChurnWorkload, SizeMix
 
 ALL_FOUR = [
@@ -28,7 +33,8 @@ ALL_FOUR = [
 
 
 def _profile(seed: int) -> ChurnProfile:
-    """Small but non-trivial: enough churn for several revocation epochs,
+    """Small but non-trivial: with the lowered quarantine trigger of
+    :func:`_run`, enough churn for several revocation epochs,
     pointer-bearing pages for the sweeps to scan, and foreground faults
     for Reloaded's load barrier."""
     return ChurnProfile(
@@ -41,11 +47,19 @@ def _profile(seed: int) -> ChurnProfile:
     )
 
 
+def _use_scalar_reference(monkeypatch) -> None:
+    monkeypatch.setattr(Revoker, "_scan_page_vector", Revoker._scan_page_scalar)
+    monkeypatch.setattr(Cache, "_touch_span", Cache._touch_loop)
+
+
+def _config(kind: RevokerKind) -> SimulationConfig:
+    # The default trigger (8 MiB of quarantine) is never reached by this
+    # small profile; at 32 KiB every strategy runs 10+ epochs.
+    return SimulationConfig(revoker=kind, policy=QuarantinePolicy(min_bytes=32 << 10))
+
+
 def _run(kind: RevokerKind, seed: int):
-    sim = Simulation(
-        ChurnWorkload(_profile(seed)), SimulationConfig(revoker=kind)
-    )
-    return sim.run()
+    return Simulation(ChurnWorkload(_profile(seed)), _config(kind)).run()
 
 
 def _fingerprint(result) -> dict:
@@ -81,10 +95,10 @@ def _fingerprint(result) -> dict:
 
 @pytest.mark.parametrize("kind", ALL_FOUR, ids=[k.value for k in ALL_FOUR])
 def test_vectorized_matches_scalar_reference(kind, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR", "1")
-    scalar = _fingerprint(_run(kind, seed=7))
-    monkeypatch.setenv("REPRO_SCALAR", "0")
     vector = _fingerprint(_run(kind, seed=7))
+    assert vector["revocations"] > 0
+    _use_scalar_reference(monkeypatch)
+    scalar = _fingerprint(_run(kind, seed=7))
     assert vector == scalar
 
 
@@ -92,17 +106,16 @@ def test_vectorized_revocation_state_matches(monkeypatch):
     """Beyond the metrics: the surviving capability population after a
     run must be identical (same granules, same bases)."""
 
-    def tagged_population(env: str):
-        monkeypatch.setenv("REPRO_SCALAR", env)
-        profile = _profile(seed=11)
+    def tagged_population():
         sim = Simulation(
-            ChurnWorkload(profile),
-            SimulationConfig(revoker=RevokerKind.RELOADED),
+            ChurnWorkload(_profile(seed=11)), _config(RevokerKind.RELOADED)
         )
-        sim.run()
+        assert sim.run().caps_revoked > 0
         return sorted(
             (g, cap.base, cap.length)
             for g, cap in sim.machine.memory.iter_tagged()
         )
 
-    assert tagged_population("0") == tagged_population("1")
+    vector = tagged_population()
+    _use_scalar_reference(monkeypatch)
+    assert vector == tagged_population()
