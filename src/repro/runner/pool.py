@@ -45,9 +45,8 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from repro import settings
 from repro.core.metrics import RunResult
 from repro.runner.batch import Batch
 from repro.runner.cache import ResultCache
@@ -99,13 +98,9 @@ def _drop_inherited_sockets() -> None:
         os.close(devnull)
 
 
-def _job_main(
-    job: Job, conn: Connection, overrides: Mapping[str, Any] | None
-) -> None:
+def _job_main(job: Job, conn: Connection) -> None:
     """Job-process entry: run the job, ship the serialized result."""
     _drop_inherited_sockets()
-    for field, value in (overrides or {}).items():
-        settings.set_env(field, value)
     try:
         envelope = result_to_dict(execute_job(job))
         conn.send(("ok", envelope, pop_warm_start_note()))
@@ -118,19 +113,17 @@ def _job_main(
 class JobProcess:
     """One job running in its own freshly forked process.
 
-    ``overrides`` are settings fields (``{"prefix_dir": ...}``) exported
-    into the child's environment only. :meth:`outcome` reads the child's
-    one message: ``("ok", envelope, warm_note)``, ``("err", name, text,
-    traceback)``, or ``("crash", reason)`` when the child died without
-    reporting. Raises ``OSError`` when the process cannot be started.
+    The child inherits the parent's environment as it is at fork time.
+    :meth:`outcome` reads the child's one message: ``("ok", envelope,
+    warm_note)``, ``("err", name, text, traceback)``, or ``("crash",
+    reason)`` when the child died without reporting. Raises ``OSError``
+    when the process cannot be started.
     """
 
-    def __init__(self, job: Job, overrides: Mapping[str, Any] | None = None) -> None:
+    def __init__(self, job: Job) -> None:
         ctx = _mp_context()
         self.conn, child_conn = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=_job_main, args=(job, child_conn, overrides), daemon=True
-        )
+        self.process = ctx.Process(target=_job_main, args=(job, child_conn), daemon=True)
         try:
             self.process.start()
         except BaseException:
@@ -141,11 +134,22 @@ class JobProcess:
         self.started = time.monotonic()
 
     def outcome(self) -> tuple:
+        """Block until the child reports or dies, then reap it."""
+        return self.reap(self.receive())
+
+    def receive(self) -> tuple | None:
+        """Read the child's message and close the pipe; ``None`` when the
+        child died before or while sending (EOF, or a truncated frame:
+        ``OSError``)."""
         try:
-            message = self.conn.recv()
-        except EOFError:  # pipe closed with nothing sent: the child died
-            message = None
-        self.conn.close()
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+        finally:
+            self.conn.close()
+
+    def reap(self, message: tuple | None) -> tuple:
+        """Join the child; a missing message becomes ``("crash", ...)``."""
         self.process.join()
         if message is None:
             return ("crash", f"worker exited (code {self.process.exitcode})")

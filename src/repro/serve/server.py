@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro import settings
 from repro.core.config import RevokerKind
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
@@ -164,11 +165,6 @@ class SimulationServer:
         self._executing = 0
         #: One task per execution slot, each running a job at a time.
         self._slots: list[asyncio.Task] = []
-        #: Settings every job process exports before running its job.
-        self._job_env = {
-            "snapshot_dir": config.snapshot_dir,
-            "prefix_dir": config.prefix_dir,
-        }
         self._draining = False
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -202,6 +198,13 @@ class SimulationServer:
         self._shutdown = asyncio.Event()
         self._queue = asyncio.Queue()
         self._started = loop.time()
+        if self.cfg.snapshot_dir is not None:
+            # Must land in the environment before any job process forks
+            # so each inherits it (campaign.execute_job reads it per job).
+            settings.set_env("snapshot_dir", str(self.cfg.snapshot_dir))
+        if self.cfg.prefix_dir is not None:
+            # Same pre-fork rule: job processes read it to warm-start.
+            settings.set_env("prefix_dir", str(self.cfg.prefix_dir))
         self._slots = [
             asyncio.ensure_future(self._slot_loop())
             for _ in range(self.cfg.workers)
@@ -592,7 +595,7 @@ class SimulationServer:
                     timeout, deadline_is_binding = left, True
             began = self._loop.time()
             try:
-                proc = JobProcess(task.job, self._job_env)
+                proc = JobProcess(task.job)
             except OSError as exc:
                 self._resolve(task, ("error", E_INTERNAL, f"cannot fork a job: {exc}"))
                 return
@@ -785,19 +788,25 @@ class SimulationServer:
 
 
 async def _outcome(proc: JobProcess) -> tuple:
-    """Await a job process's report without blocking the event loop: the
-    result pipe turns readable when the child sends or dies."""
+    """Await a job process's report, then its exit, without blocking the
+    event loop on either: the result pipe turns readable when the child
+    sends or dies, its sentinel once it has exited."""
+    await _readable(proc.conn.fileno())
+    message = proc.receive()
+    await _readable(proc.process.sentinel)
+    return proc.reap(message)
+
+
+async def _readable(fd: int) -> None:
     loop = asyncio.get_running_loop()
-    readable: asyncio.Future = loop.create_future()
-    fd = proc.conn.fileno()
+    ready: asyncio.Future = loop.create_future()
 
     def _ready() -> None:
-        if not readable.done():
-            readable.set_result(None)
+        if not ready.done():
+            ready.set_result(None)
 
     loop.add_reader(fd, _ready)
     try:
-        await readable
+        await ready
     finally:
         loop.remove_reader(fd)
-    return proc.outcome()

@@ -21,13 +21,15 @@ see what their parent exported before forking them.
 - :meth:`Settings.apply` writes that dict into ``os.environ`` (and
   *clears* managed vars the settings leave at default), handing a whole
   configuration to child processes at once;
-- :func:`set_env` writes one knob (the CLI's and the job launcher's
-  plumbing).
+- :func:`set_env` writes one knob (the CLI's and the serve daemon's
+  pre-fork plumbing).
 
 Precedence everywhere is **CLI flag > environment > default**: the CLI
 passes explicit values down as arguments; anything left ``None`` falls
 back to :meth:`Settings.from_env` (environment), which falls back to
-the typed default.
+the typed default. Precedence orders well-formed values only: each read
+validates every knob, so a malformed ``REPRO_*`` variable fails the
+first read anywhere, even where a flag overrides it.
 
 The knobs:
 
@@ -254,9 +256,8 @@ class Settings:
         """Export these settings into ``os.environ``.
 
         Managed vars at their default are *removed*, so the resulting
-        process environment means exactly this Settings value — the
-        pre-fork export the serve daemon relies on (workers inherit the
-        environment wholesale).
+        process environment means exactly this Settings value, and every
+        process forked afterwards inherits it wholesale.
         """
         wanted = self.to_env()
         for var in MANAGED_VARS:
@@ -277,8 +278,8 @@ class Settings:
 
 
 def set_env(field: str, value: Any) -> None:
-    """Write one knob into ``os.environ`` (the CLI's and the job
-    launcher's pre-run plumbing).
+    """Write one knob into ``os.environ`` (the CLI's and the serve
+    daemon's pre-fork plumbing).
 
     ``None`` clears the variable. Values are serialized through the
     field's canonical form, so a later :meth:`Settings.from_env` read

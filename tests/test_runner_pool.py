@@ -10,6 +10,7 @@ back gracefully there).
 from __future__ import annotations
 
 import os
+import struct
 import time
 
 import pytest
@@ -120,6 +121,34 @@ class TestFaultTolerance:
             return _TinyWorkload()
 
         kind = scratch_kind(crash_once)
+        progress = CampaignProgress(1)
+        results = run_jobs(
+            [Job(WorkloadSpec(kind), RevokerKind.NONE)],
+            max_workers=2,
+            progress=progress,
+        )
+        assert results[0].wall_cycles > 0
+        assert progress.retries == 1
+        assert progress.failures == 0
+
+    def test_death_mid_result_send_is_retried(self, scratch_kind, tmp_path, monkeypatch):
+        """A job process that dies part-way through sending its result (a
+        truncated frame, not a clean EOF) is a crash: retried once."""
+        from repro.runner import pool
+
+        flag = tmp_path / "died-mid-send"
+        real_main = pool._job_main
+
+        def die_mid_send_once(job, conn):
+            if flag.exists():
+                return real_main(job, conn)
+            flag.touch()
+            # A frame header promising 1 MiB, then a few bytes of it.
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+            os._exit(7)
+
+        monkeypatch.setattr(pool, "_job_main", die_mid_send_once)
+        kind = scratch_kind(lambda: _TinyWorkload())
         progress = CampaignProgress(1)
         results = run_jobs(
             [Job(WorkloadSpec(kind), RevokerKind.NONE)],

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -29,6 +30,7 @@ import pytest
 from repro.core.config import RevokerKind
 from repro.errors import ConfigError
 from repro.runner import Job, WorkloadSpec, execute_job
+from repro.runner import pool
 from repro.runner.campaign import register_workload
 from repro.runner.serialize import dumps_result
 from repro.serve import protocol
@@ -41,7 +43,6 @@ from repro.serve.client import (
 )
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import ServeConfig, SimulationServer
-from repro.settings import Settings
 from repro.workloads.base import Workload
 
 needs_fork = pytest.mark.skipif(
@@ -91,20 +92,6 @@ class TestProtocol:
         assert err["retry_after_s"] == 0.5
 
 
-# Readers of the knobs ServeConfig defaults from, one per parametrized
-# case of test_bad_env_knobs_are_loud.
-def default_serve_workers():
-    return Settings.from_env().serve_workers
-
-
-def default_queue_bound():
-    return Settings.from_env().serve_queue
-
-
-def default_serve_job_timeout():
-    return Settings.from_env().serve_job_timeout_s
-
-
 class TestServeConfig:
     def test_needs_exactly_one_endpoint(self, tmp_path):
         with pytest.raises(ConfigError, match="not both"):
@@ -130,21 +117,40 @@ class TestServeConfig:
         assert config.queue_bound == 7
         assert config.job_timeout_s == 1.5
 
+    # Each id also names the ServeConfig default the knob feeds.
     @pytest.mark.parametrize(
-        ("name", "fn", "raw"),
+        ("name", "raw"),
         [
-            ("REPRO_SERVE_WORKERS", default_serve_workers, "zero"),
-            ("REPRO_SERVE_WORKERS", default_serve_workers, "0"),
-            ("REPRO_SERVE_QUEUE", default_queue_bound, "-3"),
-            ("REPRO_SERVE_QUEUE", default_queue_bound, "many"),
-            ("REPRO_SERVE_JOB_TIMEOUT", default_serve_job_timeout, "0"),
-            ("REPRO_SERVE_JOB_TIMEOUT", default_serve_job_timeout, "soon"),
+            pytest.param(
+                "REPRO_SERVE_WORKERS", "zero",
+                id="REPRO_SERVE_WORKERS-default_serve_workers-zero",
+            ),
+            pytest.param(
+                "REPRO_SERVE_WORKERS", "0",
+                id="REPRO_SERVE_WORKERS-default_serve_workers-0",
+            ),
+            pytest.param(
+                "REPRO_SERVE_QUEUE", "-3",
+                id="REPRO_SERVE_QUEUE-default_queue_bound--3",
+            ),
+            pytest.param(
+                "REPRO_SERVE_QUEUE", "many",
+                id="REPRO_SERVE_QUEUE-default_queue_bound-many",
+            ),
+            pytest.param(
+                "REPRO_SERVE_JOB_TIMEOUT", "0",
+                id="REPRO_SERVE_JOB_TIMEOUT-default_serve_job_timeout-0",
+            ),
+            pytest.param(
+                "REPRO_SERVE_JOB_TIMEOUT", "soon",
+                id="REPRO_SERVE_JOB_TIMEOUT-default_serve_job_timeout-soon",
+            ),
         ],
     )
-    def test_bad_env_knobs_are_loud(self, monkeypatch, name, fn, raw):
+    def test_bad_env_knobs_are_loud(self, monkeypatch, tmp_path, name, raw):
         monkeypatch.setenv(name, raw)
         with pytest.raises(ConfigError, match=name):
-            fn()
+            ServeConfig(socket_path=str(tmp_path / "s"))
 
 
 class TestClientValidation:
@@ -504,6 +510,36 @@ class TestFaultPolicy:
             assert counters["serve.retries"] == 1
             assert counters["serve.worker_crashes"] == 1
             assert counters["serve.worker_restarts"] >= 1
+            assert health["workers"]["alive"] == 1
+        finally:
+            _stop(server, thread)
+
+    def test_death_mid_result_send_is_retried(self, tmp_path, monkeypatch):
+        """A job process that dies part-way through sending its result is
+        a crash like any other: retried in a new process, the slot and
+        the client carry on."""
+        flag = tmp_path / "died-mid-send"
+        real_main = pool._job_main
+
+        def die_mid_send_once(job, conn):
+            if flag.exists():
+                return real_main(job, conn)
+            flag.touch()
+            # A frame header promising 1 MiB, then a few bytes of it.
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+            os._exit(7)
+
+        monkeypatch.setattr(pool, "_job_main", die_mid_send_once)
+        server, thread, sock = _start(tmp_path, workers=1)
+        try:
+            with _client(sock, request_timeout=20.0) as client:
+                response = client.run("serve-tiny", {"tag": 800}, revoker="none")
+                stats = client.stats()
+                health = client.health()
+            assert response.result.wall_cycles > 0
+            counters = stats["stats"]["counters"]
+            assert counters["serve.worker_crashes"] == 1
+            assert counters["serve.retries"] == 1
             assert health["workers"]["alive"] == 1
         finally:
             _stop(server, thread)

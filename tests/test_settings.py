@@ -220,6 +220,28 @@ class TestPrecedence:
         assert main(["campaign", spec_file, "--quiet", "--jobs", "3"]) == 0
         assert seen[-1] == 3
 
+    @pytest.mark.parametrize(
+        ("var", "raw", "flags"),
+        [
+            ("REPRO_JOBS", "auto", ["--jobs", "2"]),  # overridden by a flag
+            ("REPRO_SERVE_QUEUE", "many", []),  # never used by a campaign
+        ],
+    )
+    def test_malformed_var_is_fatal_everywhere(
+        self, monkeypatch, tmp_path, spec_file, capsys, var, raw, flags
+    ):
+        """Precedence orders well-formed values only. Every reader parses
+        the whole environment, so a malformed REPRO_* variable stops any
+        command at its first settings read: exit 2 naming the variable."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv(var, raw)
+        assert main(["campaign", spec_file, "--quiet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and var in err
+        assert "Traceback" not in err
+
 
 class TestLint:
     def test_no_environ_reads_outside_settings(self):
