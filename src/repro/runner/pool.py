@@ -15,9 +15,10 @@ in-process execution are interchangeable bit-for-bit.
 dedup, warm-start gate, settlement) under a bounded concurrency limit.
 Fault policy:
 
-- a **crashed** worker (killed, segfaulted, exited without reporting)
-  or a **timed-out** job is retried once in a fresh process; a second
-  failure is terminal ("failed twice");
+- a **crashed** worker (killed, segfaulted, exited without reporting
+  or part-way through sending its result) or a **timed-out** job is
+  retried once in a fresh process; a second failure is terminal
+  ("failed twice");
 - a job that raises an ordinary Python exception is terminal at once —
   the simulation is deterministic, so a retry would fail identically;
 - terminal failures are recorded and the rest of the batch still runs;

@@ -40,10 +40,10 @@ from repro.snapshot.prefix import PrefixStore, prefix_key
 
 @pytest.fixture(autouse=True)
 def _restore_repro_env():
-    """Daemons run in threads of this process, so no REPRO_* variable
-    any test exports may leak into later tests — ServeConfig.__post_init__
-    and the pool read those vars. (A daemon hands its snapshot/prefix
-    dirs to each job process alone, never to this environment.)"""
+    """A daemon exports its snapshot/prefix dirs into os.environ before
+    forking job processes (pre-fork settings ship). With daemons running
+    in threads of this process, that export must not leak into later
+    tests — ServeConfig.__post_init__ and the pool read those vars."""
     saved = {var: os.environ.get(var) for var in MANAGED_VARS}
     yield
     for var, value in saved.items():
