@@ -99,9 +99,11 @@ def _drop_inherited_sockets() -> None:
         os.close(devnull)
 
 
-def _job_main(job: Job, conn: Connection) -> None:
+def _job_main(job: Job, conn: Connection, env: Settings | None) -> None:
     """Job-process entry: run the job, ship the serialized result."""
     _drop_inherited_sockets()
+    if env is not None:
+        env.apply()
     try:
         envelope = result_to_dict(execute_job(job))
         conn.send(("ok", envelope, pop_warm_start_note()))
@@ -114,17 +116,22 @@ def _job_main(job: Job, conn: Connection) -> None:
 class JobProcess:
     """One job running in its own freshly forked process.
 
-    The child inherits the parent's environment as it is at fork time.
-    :meth:`outcome` reads the child's one message: ``("ok", envelope,
-    warm_note)``, ``("err", name, text, traceback)``, or ``("crash",
-    reason)`` when the child died without reporting. Raises ``OSError``
-    when the process cannot be started.
+    The child runs under the parent's environment as it is at fork time
+    or, given ``env``, under exactly those settings
+    (:meth:`~repro.settings.Settings.apply`): a serve daemon hands each
+    job its own configuration that way, because several daemons can
+    share one process environment. :meth:`outcome` reads the child's one
+    message: ``("ok", envelope, warm_note)``, ``("err", name, text,
+    traceback)``, or ``("crash", reason)`` when the child died without
+    reporting. Raises ``OSError`` when the process cannot be started.
     """
 
-    def __init__(self, job: Job) -> None:
+    def __init__(self, job: Job, env: Settings | None = None) -> None:
         ctx = _mp_context()
         self.conn, child_conn = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(target=_job_main, args=(job, child_conn), daemon=True)
+        self.process = ctx.Process(
+            target=_job_main, args=(job, child_conn, env), daemon=True
+        )
         try:
             self.process.start()
         except BaseException:

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import settings
 from repro.core.config import RevokerKind
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
@@ -165,6 +164,15 @@ class SimulationServer:
         self._executing = 0
         #: One task per execution slot, each running a job at a time.
         self._slots: list[asyncio.Task] = []
+        #: The settings every job process runs under: the environment
+        #: at construction plus this daemon's snapshot/prefix dirs. Handed
+        #: to each child instead of exported, so daemons sharing one
+        #: process keep their own stores.
+        snapshot_dir, prefix_dir = config.snapshot_dir, config.prefix_dir
+        self._job_env = Settings.from_env().replace(
+            snapshot_dir=Path(snapshot_dir) if snapshot_dir is not None else None,
+            prefix_dir=Path(prefix_dir) if prefix_dir is not None else None,
+        )
         self._draining = False
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -198,13 +206,6 @@ class SimulationServer:
         self._shutdown = asyncio.Event()
         self._queue = asyncio.Queue()
         self._started = loop.time()
-        if self.cfg.snapshot_dir is not None:
-            # Must land in the environment before any job process forks
-            # so each inherits it (campaign.execute_job reads it per job).
-            settings.set_env("snapshot_dir", str(self.cfg.snapshot_dir))
-        if self.cfg.prefix_dir is not None:
-            # Same pre-fork rule: job processes read it to warm-start.
-            settings.set_env("prefix_dir", str(self.cfg.prefix_dir))
         self._slots = [
             asyncio.ensure_future(self._slot_loop())
             for _ in range(self.cfg.workers)
@@ -595,7 +596,7 @@ class SimulationServer:
                     timeout, deadline_is_binding = left, True
             began = self._loop.time()
             try:
-                proc = JobProcess(task.job)
+                proc = JobProcess(task.job, self._job_env)
             except OSError as exc:
                 self._resolve(task, ("error", E_INTERNAL, f"cannot fork a job: {exc}"))
                 return

@@ -20,9 +20,9 @@ see what their parent exported before forking them.
   (``from_env(to_env(s)) == s`` is pinned by a hypothesis test);
 - :meth:`Settings.apply` writes that dict into ``os.environ`` (and
   *clears* managed vars the settings leave at default), handing a whole
-  configuration to child processes at once;
-- :func:`set_env` writes one knob (the CLI's and the serve daemon's
-  pre-fork plumbing).
+  configuration to a process at once (each serve job process applies
+  its daemon's settings);
+- :func:`set_env` writes one knob (the CLI's pre-fork plumbing).
 
 Precedence everywhere is **CLI flag > environment > default**: the CLI
 passes explicit values down as arguments; anything left ``None`` falls
@@ -256,8 +256,8 @@ class Settings:
         """Export these settings into ``os.environ``.
 
         Managed vars at their default are *removed*, so the resulting
-        process environment means exactly this Settings value, and every
-        process forked afterwards inherits it wholesale.
+        process environment means exactly this Settings value — how a
+        serve daemon's job process takes on its daemon's configuration.
         """
         wanted = self.to_env()
         for var in MANAGED_VARS:
@@ -278,8 +278,7 @@ class Settings:
 
 
 def set_env(field: str, value: Any) -> None:
-    """Write one knob into ``os.environ`` (the CLI's and the serve
-    daemon's pre-fork plumbing).
+    """Write one knob into ``os.environ`` (the CLI's pre-fork plumbing).
 
     ``None`` clears the variable. Values are serialized through the
     field's canonical form, so a later :meth:`Settings.from_env` read

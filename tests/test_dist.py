@@ -34,23 +34,7 @@ from repro.runner.serialize import dumps_result
 from repro.serve.client import ServeClient
 from repro.serve.protocol import decode, encode
 from repro.serve.server import ServeConfig, SimulationServer
-from repro.settings import MANAGED_VARS
 from repro.snapshot.prefix import PrefixStore, prefix_key
-
-
-@pytest.fixture(autouse=True)
-def _restore_repro_env():
-    """A daemon exports its snapshot/prefix dirs into os.environ before
-    forking job processes (pre-fork settings ship). With daemons running
-    in threads of this process, that export must not leak into later
-    tests — ServeConfig.__post_init__ and the pool read those vars."""
-    saved = {var: os.environ.get(var) for var in MANAGED_VARS}
-    yield
-    for var, value in saved.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
 
 
 # --- The hash ring ----------------------------------------------------------

@@ -139,9 +139,9 @@ class TestFaultTolerance:
         flag = tmp_path / "died-mid-send"
         real_main = pool._job_main
 
-        def die_mid_send_once(job, conn):
+        def die_mid_send_once(job, conn, env):
             if flag.exists():
-                return real_main(job, conn)
+                return real_main(job, conn, env)
             flag.touch()
             # A frame header promising 1 MiB, then a few bytes of it.
             os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"partial")
