@@ -164,15 +164,8 @@ class SimulationServer:
         self._executing = 0
         #: One task per execution slot, each running a job at a time.
         self._slots: list[asyncio.Task] = []
-        #: The settings every job process runs under: the environment
-        #: at construction plus this daemon's snapshot/prefix dirs. Handed
-        #: to each child instead of exported, so daemons sharing one
-        #: process keep their own stores.
-        snapshot_dir, prefix_dir = config.snapshot_dir, config.prefix_dir
-        self._job_env = Settings.from_env().replace(
-            snapshot_dir=Path(snapshot_dir) if snapshot_dir is not None else None,
-            prefix_dir=Path(prefix_dir) if prefix_dir is not None else None,
-        )
+        #: The settings every job process runs under (set at start).
+        self._job_env: Settings | None = None
         self._draining = False
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -206,6 +199,14 @@ class SimulationServer:
         self._shutdown = asyncio.Event()
         self._queue = asyncio.Queue()
         self._started = loop.time()
+        # The environment at start plus this daemon's snapshot/prefix
+        # dirs, handed to each job process instead of exported, so
+        # daemons sharing one process keep their own stores.
+        snapshot_dir, prefix_dir = self.cfg.snapshot_dir, self.cfg.prefix_dir
+        self._job_env = Settings.from_env().replace(
+            snapshot_dir=Path(snapshot_dir) if snapshot_dir is not None else None,
+            prefix_dir=Path(prefix_dir) if prefix_dir is not None else None,
+        )
         self._slots = [
             asyncio.ensure_future(self._slot_loop())
             for _ in range(self.cfg.workers)
