@@ -727,10 +727,14 @@ class SimulationServer:
                 E_BAD_REQUEST,
                 "daemon has no prefix store (start it with --prefix-dir)",
             )
+        from repro.snapshot.prefix import valid_prefix_key
+
         key = request.payload.get("key")
-        if not isinstance(key, str) or not key:
+        if not valid_prefix_key(key):
             return error_response(
-                request.id, E_BAD_REQUEST, "prefix verbs need a string 'key'"
+                request.id,
+                E_BAD_REQUEST,
+                "prefix verbs need a 'key' of letters, digits, '-' and '_'",
             )
         return key
 

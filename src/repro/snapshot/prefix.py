@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -186,6 +187,16 @@ def fork_simulation(
     return sim, header
 
 
+#: A prefix key names one file: letters, digits, ``-`` and ``_`` only.
+#: Every :func:`prefix_key` is 64 hex digits; anything else — a key from
+#: the wire above all — must not reach outside the store root.
+_KEY = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def valid_prefix_key(key: object) -> bool:
+    return isinstance(key, str) and _KEY.fullmatch(key) is not None
+
+
 class PrefixStore:
     """Content-addressed store of warm-start prefix checkpoints."""
 
@@ -193,6 +204,10 @@ class PrefixStore:
         self.root = Path(root) if root is not None else default_prefix_dir()
 
     def _path_of(self, key: str) -> Path:
+        if not valid_prefix_key(key):
+            raise SnapshotError(
+                f"bad prefix key {key!r}: use letters, digits, '-' and '_'"
+            )
         return self.root / "objects" / key[:2] / f"{key}.ckpt"
 
     def get(self, key: str) -> bytes | None:

@@ -371,6 +371,40 @@ class TestPrefixWire:
         finally:
             _stop_daemon(server, thread)
 
+    def test_key_climbing_out_of_the_store_is_refused(self, tmp_path):
+        from repro.serve.client import RequestFailed
+
+        # Deep enough that an escaped write would still land under
+        # tmp_path, where the check below can see it.
+        store = tmp_path / "a" / "b" / "c" / "store"
+        server, thread, sock = _start_daemon(tmp_path, "esc", prefix_dir=str(store))
+        key = "../../../outside/evil"
+        try:
+            with ServeClient(socket_path=sock) as client:
+                with pytest.raises(RequestFailed) as put:
+                    client.prefix_put(key, b"RPRSNAP escaped payload")
+                with pytest.raises(RequestFailed) as fetch:
+                    client.prefix_fetch(key)
+            assert put.value.code == fetch.value.code == "bad-request"
+            assert list(tmp_path.rglob("*.ckpt")) == []
+            assert list(tmp_path.rglob("outside")) == []
+        finally:
+            _stop_daemon(server, thread)
+
+    def test_store_refuses_keys_that_are_not_bare_names(self, tmp_path):
+        from repro.errors import SnapshotError
+
+        store = PrefixStore(tmp_path)
+        for key in ("../evil", "a/b", "", ".hidden", "k\n"):
+            with pytest.raises(SnapshotError, match="prefix key"):
+                store.put_if_absent(key, b"x")
+            with pytest.raises(SnapshotError, match="prefix key"):
+                store.get(key)
+        assert store.put_if_absent("Key_1-" + "f" * 64, b"x") is True
+        assert list(tmp_path.rglob("*.ckpt")) == [
+            tmp_path / "objects" / "Ke" / ("Key_1-" + "f" * 64 + ".ckpt")
+        ]
+
     def test_daemon_without_store_rejects(self, pair):
         from repro.serve.client import RequestFailed
 
