@@ -85,7 +85,7 @@ class CheriotRevoker(Revoker):
         begin = slot.time
         self.machine.bus.sweep_begin()
         try:
-            yield from self.sweep_pages_concurrent(
+            yield from self.sweep_pages(
                 core, self.machine.pagetable.cap_dirty_pages(), record
             )
         finally:

@@ -55,7 +55,7 @@ class MultipassCornucopiaRevoker(CornucopiaRevoker):
                         per_pass.append(0)
                         continue
                 before = record.pages_swept
-                yield from self.sweep_pages_concurrent(
+                yield from self.sweep_pages(
                     core, targets, record, extra_per_page=self.costs.pte_update
                 )
                 per_pass.append(record.pages_swept - before)
@@ -72,7 +72,7 @@ class MultipassCornucopiaRevoker(CornucopiaRevoker):
         yield self.stw_entry_cycles()
         scan_cycles, _ = self.scan_roots(record)
         yield scan_cycles
-        yield from self.sweep_pages_stw(
+        yield from self.sweep_pages(
             core, self.machine.pagetable.redirtied_pages(), record
         )
         yield ResumeWorld()

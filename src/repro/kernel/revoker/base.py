@@ -270,7 +270,7 @@ class Revoker(abc.ABC):
             memory.clear_granules(idx[condemned] + g0)
         return int(idx.size), revoked
 
-    def sweep_pages_concurrent(
+    def sweep_pages(
         self,
         core: Core,
         pages: Iterable[PTE],
@@ -278,28 +278,15 @@ class Revoker(abc.ABC):
         *,
         extra_per_page: int = 0,
     ) -> Generator:
-        """Sweep ``pages`` concurrently, yielding accumulated cycles in
+        """Sweep ``pages``, yielding accumulated cycles in
         :data:`SWEEP_YIELD_CYCLES` batches (the common revoker inner
-        loop; ``extra_per_page`` covers per-page PTE bookkeeping)."""
+        loop; ``extra_per_page`` covers per-page PTE bookkeeping). With
+        the world stopped nothing else can run, so batching the yields is
+        free — the pause ends at the same cycle — and saves one scheduler
+        step per page."""
         batch = 0
         for pte in pages:
             batch += self.sweep_page(core, pte, record) + extra_per_page
-            if batch >= SWEEP_YIELD_CYCLES:
-                yield batch
-                batch = 0
-        if batch:
-            yield batch
-
-    def sweep_pages_stw(
-        self, core: Core, pages: Iterable[PTE], record: EpochRecord
-    ) -> Generator:
-        """Sweep ``pages`` with the world stopped, yielding cycles in
-        coarse batches. Nothing else can run during a stop-the-world, so
-        batching the yields is free — the pause ends at the same cycle —
-        and saves one scheduler step per page."""
-        batch = 0
-        for pte in pages:
-            batch += self.sweep_page(core, pte, record)
             if batch >= SWEEP_YIELD_CYCLES:
                 yield batch
                 batch = 0

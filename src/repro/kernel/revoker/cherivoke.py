@@ -33,7 +33,7 @@ class CheriVokeRevoker(Revoker):
         # Sweep everything that may hold capabilities, world stopped.
         # (Batched yields: same pause end-cycle, one scheduler step per
         # ~SWEEP_YIELD_CYCLES instead of one per page.)
-        yield from self.sweep_pages_stw(
+        yield from self.sweep_pages(
             core, self.machine.pagetable.cap_dirty_pages(), record
         )
         yield ResumeWorld()

@@ -38,7 +38,7 @@ class CornucopiaRevoker(Revoker):
         concurrent_begin = slot.time
         self.machine.bus.sweep_begin()
         try:
-            yield from self.sweep_pages_concurrent(
+            yield from self.sweep_pages(
                 core,
                 self.machine.pagetable.cap_dirty_pages(),
                 record,
@@ -57,7 +57,7 @@ class CornucopiaRevoker(Revoker):
         yield self.stw_entry_cycles()
         scan_cycles, _ = self.scan_roots(record)
         yield scan_cycles
-        yield from self.sweep_pages_stw(
+        yield from self.sweep_pages(
             core, self.machine.pagetable.redirtied_pages(), record
         )
         yield ResumeWorld()

@@ -46,10 +46,6 @@ class Perm(enum.IntFlag):
     def all(cls) -> "Perm":
         return cls.LOAD | cls.STORE | cls.LOAD_CAP | cls.STORE_CAP | cls.GLOBAL
 
-    @classmethod
-    def data_rw(cls) -> "Perm":
-        return cls.LOAD | cls.STORE
-
 
 def representable_alignment(length: int) -> int:
     """Alignment (bytes) required for a ``length``-byte region's bounds to
@@ -115,11 +111,6 @@ class Capability:
     def top(self) -> int:
         """One past the last byte this capability authorizes."""
         return self.base + self.length
-
-    @property
-    def is_valid(self) -> bool:
-        """Whether the tag is set (the capability authorizes anything)."""
-        return self.tag
 
     def in_bounds(self, address: int, nbytes: int = 1) -> bool:
         """Whether ``[address, address+nbytes)`` lies within bounds."""

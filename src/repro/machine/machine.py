@@ -50,9 +50,6 @@ class Machine:
     def core(self, index: int) -> Core:
         return self.cores[index]
 
-    def wall_clock(self) -> int:
-        return self.scheduler.current_time()
-
     def tlb_shootdown(self, vpn: int | None = None) -> int:
         """Invalidate ``vpn`` (or everything) in every core's TLB; returns
         the IPI cycle cost, charged to the caller."""

@@ -51,16 +51,6 @@ class TaggedMemory:
         #: Capability values for tagged granules only.
         self._caps: dict[int, Capability] = {}
 
-    # --- Address arithmetic ---------------------------------------------
-
-    @staticmethod
-    def granule_of(addr: int) -> int:
-        return addr // GRANULE_BYTES
-
-    @staticmethod
-    def page_of(addr: int) -> int:
-        return addr // PAGE_BYTES
-
     def _check_granule_aligned(self, addr: int) -> int:
         if addr % GRANULE_BYTES:
             raise VMError(f"capability access must be 16-byte aligned: {addr:#x}")

@@ -24,7 +24,6 @@ See docs/RUNNER.md for the campaign spec format and cache layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.metrics import RunResult
 from repro.runner.batch import CampaignJobError
@@ -82,10 +81,6 @@ class CampaignResult:
     jobs: list[Job]
     results: list[RunResult]
     progress: CampaignProgress
-
-    def by_key(self) -> dict[Any, RunResult]:
-        """Results keyed by each job's ``key``."""
-        return {job.key: result for job, result in zip(self.jobs, self.results)}
 
     def __len__(self) -> int:
         return len(self.jobs)

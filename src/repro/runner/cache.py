@@ -56,7 +56,6 @@ _NON_SIMULATION_PARTS = (
     "check",
     "dist",
     "cli",
-    "cli.py",
     "api.py",
     "settings.py",
     "__main__.py",

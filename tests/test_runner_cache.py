@@ -205,10 +205,10 @@ class TestCodeFingerprintScope:
 
     def _tree(self, tmp_path):
         root = tmp_path / "repro"
-        for sub in ("core", "obs", "runner", "analysis", "serve", "perf", "check"):
+        for sub in ("core", "obs", "runner", "analysis", "serve", "perf", "check", "cli"):
             (root / sub).mkdir(parents=True)
         (root / "__init__.py").write_text("")
-        (root / "cli.py").write_text("CLI = 1\n")
+        (root / "cli" / "__init__.py").write_text("CLI = 1\n")
         (root / "core" / "simulation.py").write_text("SIM = 1\n")
         (root / "obs" / "tracer.py").write_text("TRACE = 1\n")
         (root / "runner" / "pool.py").write_text("POOL = 1\n")
@@ -246,7 +246,7 @@ class TestCodeFingerprintScope:
         (root / "check" / "oracles.py").write_text("CHECK = 2\n")
         (root / "runner" / "pool.py").write_text("POOL = 2\n")
         (root / "analysis" / "tables.py").write_text("TABLE = 2\n")
-        (root / "cli.py").write_text("CLI = 2\n")
+        (root / "cli" / "__init__.py").write_text("CLI = 2\n")
         (root / "perf" / "extra.py").write_text("NEW = 1\n")
         assert self._fingerprint(root, monkeypatch) == base
 
