@@ -22,8 +22,8 @@ Commands (one module per command in this package, each exposing
   job behind a Unix/TCP socket, request dedup against the result cache,
   admission control, live health/stats (docs/SERVING.md); ``serve
   bench`` is its load generator;
-- ``bench``    continuous benchmarking against the content-addressed
-  baseline store (docs/BENCHMARKING.md);
+- ``bench``    the simulated-behaviour gate: deterministic metrics
+  against ``perf/baselines/<suite>.json`` (docs/BENCHMARKING.md);
 - ``snapshot`` save/resume/inspect checkpoints and the warm-start prefix
   store (docs/SNAPSHOT.md, docs/WARMSTART.md);
 - ``list``     the available workloads and strategies (``--json`` for

@@ -1,133 +1,58 @@
-"""The content-addressed baseline store (``perf/baselines/``).
+"""The committed baselines: one report per suite, ``perf/baselines/<suite>.json``.
 
-Layout::
-
-    perf/baselines/
-      refs.json                 # suite name -> {"object", "git_sha", ...}
-      objects/<sha256-16>.json  # immutable PerfReport blobs, content-addressed
-
-Recording a baseline files the full report under its content digest
-(objects are never rewritten — re-recording identical results is a
-no-op) and moves the suite's *ref* to point at it, exactly like a git
-ref over immutable objects. Moving a ref that was recorded at a
-different commit requires ``force`` — that is the satellite fix for the
-silent-clobber failure mode: a stale working tree can no longer
-overwrite a baseline someone recorded at another sha without saying so.
-
-CI compares against the committed refs; ``repro bench baseline record``
-updates them (docs/BENCHMARKING.md walks the workflow).
+``repro bench run --record`` writes a suite's file and ``repro bench
+compare`` (or ``run --compare``) reads it. Re-recording a baseline that
+was recorded at a different commit refuses unless ``force`` is given, so
+a stale working tree cannot overwrite it silently; a deliberate
+re-record goes with a reason in CHANGES.md (docs/BENCHMARKING.md).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
-from typing import Any
 
 from repro.errors import PerfError
 from repro.perf.report import PerfReport, check_overwrite, git_sha
 
-#: Default store root, relative to the repository root / CWD.
+#: Default baseline directory, relative to the repository root / CWD.
 DEFAULT_ROOT = "perf/baselines"
-
-#: hex digits of the sha256 digest used as the object name (64 bits of
-#: collision resistance is plenty for a per-repo store of a few reports).
-OBJECT_ID_LEN = 16
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class BaselineStore:
-    """record/compare semantics over the on-disk layout above."""
+    """Read and record the per-suite baseline files under ``root``."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else Path(DEFAULT_ROOT)
 
-    @property
-    def refs_path(self) -> Path:
-        return self.root / "refs.json"
-
-    def _object_path(self, object_id: str) -> Path:
-        return self.root / "objects" / f"{object_id}.json"
-
-    def refs(self) -> dict[str, dict[str, Any]]:
-        try:
-            data = json.loads(self.refs_path.read_text())
-        except FileNotFoundError:
-            return {}
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PerfError(f"corrupt baseline refs {self.refs_path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise PerfError(f"corrupt baseline refs {self.refs_path}: not an object")
-        return data
-
-    def ref(self, suite: str) -> dict[str, Any] | None:
-        return self.refs().get(suite)
-
-    def record(self, report: PerfReport, force: bool = False) -> str:
-        """File ``report`` and point its suite's ref at it.
-
-        Returns the object id. Raises :class:`PerfError` when the suite's
-        existing ref was recorded at a different git sha and ``force`` is
-        false.
-        """
-        refs = self.refs()
-        existing = refs.get(report.suite)
-        check_overwrite(
-            existing.get("git_sha") if existing else None,
-            report.env.get("git_sha") or git_sha(),
-            f"baseline for suite {report.suite!r}",
-            force=force,
-        )
-        object_id = report.digest()[:OBJECT_ID_LEN]
-        object_path = self._object_path(object_id)
-        if not object_path.exists():
-            _atomic_write(object_path, report.dumps())
-        refs[report.suite] = {
-            "object": object_id,
-            "git_sha": report.env.get("git_sha"),
-            "python": report.env.get("python"),
-            "benchmarks": sorted(report.benchmarks),
-        }
-        _atomic_write(
-            self.refs_path, json.dumps(refs, indent=2, sort_keys=True) + "\n"
-        )
-        return object_id
+    def path(self, suite: str) -> Path:
+        return self.root / f"{suite}.json"
 
     def load(self, suite: str) -> PerfReport:
-        """The report a suite's ref points at."""
-        ref = self.ref(suite)
-        if ref is None:
-            known = ", ".join(sorted(self.refs())) or "none recorded"
+        """The suite's committed baseline report."""
+        path = self.path(suite)
+        if not path.exists():
             raise PerfError(
-                f"no baseline for suite {suite!r} under {self.root} "
-                f"(recorded: {known}; run `repro bench run --suite {suite} "
-                "--record` to create one)"
+                f"no baseline for suite {suite!r} at {path} (run `repro bench "
+                f"run --suite {suite} --record` to create one)"
             )
-        object_path = self._object_path(ref["object"])
-        report = PerfReport.load(object_path)
+        report = PerfReport.load(path)
         if report.suite != suite:
-            raise PerfError(
-                f"baseline object {ref['object']} holds suite "
-                f"{report.suite!r}, ref says {suite!r} (corrupt store)"
-            )
+            raise PerfError(f"{path} holds suite {report.suite!r}, not {suite!r}")
         return report
 
-    def list(self) -> dict[str, dict[str, Any]]:
-        """Every recorded suite ref (for ``repro bench baseline show``)."""
-        return self.refs()
+    def record(self, report: PerfReport, force: bool = False) -> Path:
+        """Write ``report`` as its suite's baseline and return the path.
+
+        Raises :class:`PerfError` when the existing baseline was recorded
+        at a different git sha and ``force`` is false.
+        """
+        path = self.path(report.suite)
+        if path.exists() and not force:
+            check_overwrite(
+                PerfReport.load(path).env.get("git_sha"),
+                report.env.get("git_sha") or git_sha(),
+                f"baseline {path}",
+            )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        report.save(path)
+        return path

@@ -1,78 +1,70 @@
 """``python -m repro bench`` — the continuous-benchmarking commands.
 
-- ``run``       execute a suite (``--compare`` gates against the baseline
-  store, ``--record`` moves the baseline ref to the fresh report);
-- ``compare``   classify one report JSON against the store or another file;
-- ``baseline``  ``record``/``show`` the content-addressed store;
+- ``run``       execute a suite (``--compare`` gates against the suite's
+  baseline, ``--record`` writes the fresh report as that baseline);
+- ``compare``   gate one report JSON against its suite's baseline or
+  another file;
 - ``list``      the registered catalog.
 
-Exit codes are machine-readable: 0 clean, 1 at least one *deterministic*
-metric regressed (wall-clock regressions only warn — as GitHub
-``::warning::`` annotations when running under Actions), 2 usage or I/O
-error (via the top-level CLI's :class:`~repro.errors.ReproError`
-handler). docs/BENCHMARKING.md documents the workflow.
+Exit codes are machine-readable: 0 every deterministic metric matches
+the baseline exactly, 1 at least one changed, went missing or is new
+(wall-clock series are printed, never judged), 2 usage or I/O error (via
+the top-level CLI's :class:`~repro.errors.ReproError` handler).
+docs/BENCHMARKING.md documents the workflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from pathlib import Path
 
 from repro.errors import PerfError
 from repro.perf.baselines import BaselineStore
-from repro.perf.registry import INJECT_ENV, catalog
-from repro.perf.regression import (
-    NOISY,
-    REGRESSED,
-    Comparison,
-    Thresholds,
-    compare_reports,
-)
+from repro.perf.registry import WALL, catalog
+from repro.perf.regression import compare_reports
 from repro.perf.report import PerfReport
 from repro.perf.runner import Runner
 
 
-def _print_comparison(comparison: Comparison, as_json: bool) -> None:
+def _fmt(value: float | None, kind: str) -> str:
+    if value is None:
+        return "-"
+    # Deterministic values print in full: a one-cycle change must show.
+    return f"{value:.6g}" if kind == WALL else f"{value:.15g}"
+
+
+def _gate(baseline: PerfReport, current: PerfReport, as_json: bool) -> int:
+    """Print the comparison of ``current`` against ``baseline``; return
+    its exit code."""
+    comparison = compare_reports(baseline, current)
     if as_json:
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-        return
+        return comparison.exit_code()
     from repro.analysis import format_table
 
-    rows = []
-    for r in comparison.rows:
-        rows.append([
+    rows = [
+        [
             r.benchmark,
             r.metric,
             r.kind,
-            "-" if r.baseline_median is None else f"{r.baseline_median:.6g}",
-            "-" if r.current_median is None else f"{r.current_median:.6g}",
+            _fmt(r.baseline_median, r.kind),
+            _fmt(r.current_median, r.kind),
             "-" if r.ratio is None else f"{r.ratio:.3f}x",
-            r.verdict + (" [gate]" if r.gates else ""),
-        ])
+            r.verdict or "-",
+            r.note,
+        ]
+        for r in comparison.rows
+    ]
     print(format_table(
-        ["benchmark", "metric", "kind", "baseline", "current", "ratio", "verdict"],
+        ["benchmark", "metric", "kind", "baseline", "current", "ratio",
+         "verdict", "note"],
         rows,
-        title=f"perf comparison: {comparison.current_suite} vs baseline",
+        title=f"perf comparison: {comparison.current_suite} vs baseline "
+              "(wall-clock rows are medians, never judged)",
     ))
     print(comparison.summary())
-
-
-def _annotate_ci(comparison: Comparison) -> None:
-    """Surface wall-clock noise/regressions as Actions annotations
-    (warnings, not failures) when running under GitHub Actions."""
-    if not os.environ.get("GITHUB_ACTIONS"):
-        return
-    for r in comparison.rows:
-        if r.gates or r.verdict not in (REGRESSED, NOISY):
-            continue
-        print(
-            f"::warning title=perf {r.verdict}::{r.benchmark}/{r.metric} "
-            f"{r.verdict}: baseline {r.baseline_median:.6g} -> current "
-            f"{r.current_median:.6g} ({r.note or 'wall-clock; warn only'})"
-        )
+    return comparison.exit_code()
 
 
 def _echo(name: str, took: float, metrics: int) -> None:
@@ -105,48 +97,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     store = BaselineStore(args.baseline_dir)
 
-    if args.bench_cmd == "baseline":
-        if args.baseline_cmd == "show":
-            refs = store.list()
-            if args.json:
-                print(json.dumps(refs, indent=2, sort_keys=True))
-                return 0
-            if not refs:
-                print(f"no baselines recorded under {store.root}")
-                return 0
-            for suite, ref in sorted(refs.items()):
-                sha = (ref.get("git_sha") or "?")[:12]
-                print(f"  {suite:12s} object {ref['object']} @ {sha} "
-                      f"({len(ref.get('benchmarks', []))} benchmarks)")
-            return 0
-        # record
-        report = PerfReport.load(args.report)
-        if report.config.get("inject"):
-            raise PerfError(
-                f"refusing to record a baseline from a report produced "
-                f"with {INJECT_ENV}={report.config['inject']} (the "
-                "gate-test knob); re-run without injection"
-            )
-        object_id = store.record(report, force=args.force)
-        print(f"baseline {report.suite!r} -> object {object_id} "
-              f"({len(report.benchmarks)} benchmarks) under {store.root}")
-        return 0
-
-    thresholds = Thresholds(
-        deterministic_rel=args.tolerance,
-        bootstrap_seed=args.bootstrap_seed,
-    )
-
     if args.bench_cmd == "compare":
         current = PerfReport.load(args.report)
         if args.against:
             baseline = PerfReport.load(args.against)
         else:
             baseline = store.load(current.suite)
-        comparison = compare_reports(baseline, current, thresholds)
-        _print_comparison(comparison, args.json)
-        _annotate_ci(comparison)
-        return comparison.exit_code()
+        return _gate(baseline, current, args.json)
 
     if args.bench_cmd == "run":
         mode = args.mode or ("smoke" if args.suite == "smoke" else "full")
@@ -159,20 +116,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             report.save(args.out)
             print(f"report written to {args.out}", file=sys.stderr)
         if args.record:
-            if report.config.get("inject"):
-                raise PerfError(
-                    f"refusing to record a baseline with {INJECT_ENV} set "
-                    "(the gate-test knob); unset it and re-run"
-                )
-            object_id = store.record(report, force=args.force)
-            print(f"baseline {report.suite!r} -> object {object_id} "
-                  f"under {store.root}")
+            path = store.record(report, force=args.force)
+            print(f"baseline {report.suite!r} written to {path}")
         if args.compare:
-            baseline = store.load(report.suite)
-            comparison = compare_reports(baseline, report, thresholds)
-            _print_comparison(comparison, args.json)
-            _annotate_ci(comparison)
-            return comparison.exit_code()
+            return _gate(store.load(report.suite), report, args.json)
         if not args.record and not args.out:
             # A run nobody consumed: print the medians so it wasn't silent.
             for name, bench in sorted(report.benchmarks.items()):
@@ -188,19 +135,15 @@ def add_bench_parser(sub: argparse._SubParsersAction) -> None:
     """Wire the ``bench`` command tree into the top-level CLI."""
     p = sub.add_parser(
         "bench",
-        help="continuous benchmarking: run suites, gate against baselines "
-             "(docs/BENCHMARKING.md)",
+        help="gate simulated behaviour: run suites, compare against "
+             "baselines (docs/BENCHMARKING.md)",
     )
     bsub = p.add_subparsers(dest="bench_cmd", required=True)
 
     def common(pp: argparse.ArgumentParser) -> None:
         pp.add_argument("--baseline-dir", default=None,
-                        help="baseline store root (default: perf/baselines)")
-        pp.add_argument("--tolerance", type=float, default=0.02,
-                        help="relative tolerance for deterministic metrics "
-                             "(default: 0.02)")
-        pp.add_argument("--bootstrap-seed", type=int, default=0,
-                        help="seed for the bootstrap CI resampler")
+                        help="directory of <suite>.json baselines "
+                             "(default: perf/baselines)")
         pp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
 
@@ -218,33 +161,23 @@ def add_bench_parser(sub: argparse._SubParsersAction) -> None:
     pr.add_argument("--out", default=None,
                     help="write the PerfReport JSON here")
     pr.add_argument("--compare", action="store_true",
-                    help="compare against the recorded baseline and gate "
-                         "(exit 1 on a deterministic regression)")
+                    help="gate against the suite's baseline (exit 1 when "
+                         "a deterministic metric differs)")
     pr.add_argument("--record", action="store_true",
-                    help="record this run as the suite's baseline")
+                    help="write this run as the suite's baseline")
     pr.add_argument("--force", action="store_true",
-                    help="allow --record to move a baseline recorded at a "
-                         "different git sha")
+                    help="allow --record to overwrite a baseline recorded "
+                         "at a different git sha")
     pr.add_argument("--quiet", action="store_true",
                     help="suppress per-benchmark progress lines")
     common(pr)
 
-    pc = bsub.add_parser("compare", help="classify a report against a baseline")
+    pc = bsub.add_parser("compare", help="gate a report against a baseline")
     pc.add_argument("report", help="current PerfReport JSON")
     pc.add_argument("--against", default=None,
                     help="explicit baseline report JSON (default: the "
-                         "store's ref for the report's suite)")
+                         "report's suite baseline)")
     common(pc)
-
-    pb = bsub.add_parser("baseline", help="manage the baseline store")
-    bbsub = pb.add_subparsers(dest="baseline_cmd", required=True)
-    pbr = bbsub.add_parser("record", help="record a report as its suite's baseline")
-    pbr.add_argument("report", help="PerfReport JSON to record")
-    pbr.add_argument("--force", action="store_true",
-                     help="move a baseline recorded at a different git sha")
-    common(pbr)
-    pbs = bbsub.add_parser("show", help="list recorded baseline refs")
-    common(pbs)
 
     pl = bsub.add_parser("list", help="the registered benchmark catalog")
     pl.add_argument("--json", action="store_true")

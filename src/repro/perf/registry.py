@@ -8,14 +8,14 @@ function taking a :class:`Probe`; the runner calls it once per
 repetition and the probe collects what it measures:
 
 - ``probe.time()`` — a context manager timing a **wall-clock** region
-  (noisy; the regression gate only warns on these);
+  (noisy; the gate only shows these);
 - ``probe.record(name, value)`` — a **deterministic** metric (simulated
   cycles, bus transactions, byte counts; bit-identical across hosts, so
-  the gate fails hard on these).
+  the gate fails on any change to these).
 
-Metric kinds matter downstream: the detector in
-:mod:`repro.perf.regression` treats ``deterministic`` series exactly and
-``wall`` series statistically (median/MAD + bootstrap CI).
+Metric kinds matter downstream: the gate in :mod:`repro.perf.regression`
+compares ``deterministic`` series exactly and never judges ``wall``
+series.
 """
 
 from __future__ import annotations
@@ -27,21 +27,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.errors import PerfError
-from repro.settings import Settings
 
-#: Metric kind for bit-identical simulated quantities (gated hard).
+#: Metric kind for bit-identical simulated quantities (gated exactly).
 DETERMINISTIC = "deterministic"
-#: Metric kind for host wall-clock timings (warn-only).
+#: Metric kind for host wall-clock timings (shown, never gated).
 WALL = "wall"
 
 #: The suites the CI workflows run (others are ad-hoc tags).
 KNOWN_SUITES = ("smoke", "full", "sweep")
-
-#: Environment knob: multiply every deterministic sample by this factor.
-#: Exists so the regression gate itself can be exercised end-to-end
-#: (``REPRO_PERF_INJECT=2.0 python -m repro bench run --suite smoke
-#: --compare`` must exit non-zero); documented in docs/BENCHMARKING.md.
-INJECT_ENV = "REPRO_PERF_INJECT"
 
 
 class Probe:
@@ -52,14 +45,11 @@ class Probe:
         self.mode = mode
         #: metric name -> (kind, value) for this repetition.
         self.metrics: dict[str, tuple[str, float]] = {}
-        self._inject = Settings.from_env().perf_inject
 
     def record(self, name: str, value: float, kind: str = DETERMINISTIC) -> None:
         """Record one metric value for this repetition."""
         if kind not in (DETERMINISTIC, WALL):
             raise PerfError(f"unknown metric kind {kind!r}")
-        if kind == DETERMINISTIC and self._inject is not None:
-            value = value * self._inject
         if name in self.metrics:
             raise PerfError(f"metric {name!r} recorded twice in one repetition")
         self.metrics[name] = (kind, float(value))

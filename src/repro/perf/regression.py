@@ -1,124 +1,66 @@
-"""Noise-aware regression detection between two perf reports.
+"""The exact behaviour gate between two perf reports.
 
-The detector never compares raw means. Deterministic series (simulated
-cycles, bus transactions, bytes — bit-identical by construction) compare
-by median with a small relative tolerance and **gate hard**: a regressed
-deterministic metric is a real algorithmic change, not noise. Wall-clock
-series compare median-to-median with two noise guards before anything is
-called a regression:
+Deterministic series (simulated cycles, bus transactions, bytes) are
+bit-identical by construction, so they are compared exactly: every
+sample of the current series must equal the baseline's single value.
+A deterministic metric that changed value, changed kind, went missing
+or is new fails the gate, whichever way it moved. Wall-clock series are
+host timings: they are shown beside the baseline median with their
+ratio and never judged (docs/BENCHMARKING.md).
 
-1. the shift must exceed ``mad_k`` pooled median-absolute-deviations
-   *and* a relative floor (tiny absolute wobbles on a fast metric never
-   alarm), otherwise the metric is ``ok``;
-2. a seeded bootstrap confidence interval on each median must separate
-   (no overlap), otherwise the metric is ``noisy``.
-
-Only a shift that clears both guards classifies as ``improved`` /
-``regressed`` — and wall regressions still only *warn* in CI; the
-machine-readable exit code is driven by deterministic metrics alone
-(docs/BENCHMARKING.md).
+The comparison covers every baseline benchmark matching the current
+run's ``--filter`` pattern (``config.pattern``), so a filtered run never
+fails on benchmarks it did not run.
 """
 
 from __future__ import annotations
 
-import random
+import fnmatch
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
-from repro.analysis.stats import median, percentile
-from repro.errors import PerfError
-from repro.perf.registry import DETERMINISTIC
+from repro.analysis.stats import median
+from repro.perf.registry import WALL
 from repro.perf.report import MetricSeries, PerfReport
 
-#: Classifications, from best to worst.
-IMPROVED = "improved"
+#: Verdicts for deterministic rows; wall rows carry ``None``.
 OK = "ok"
-NOISY = "noisy"
-REGRESSED = "regressed"
-#: Catalog drift (not a perf verdict).
+CHANGED = "changed"
 NEW = "new"
 MISSING = "missing"
 
-#: Below this many samples per side, a wall-clock shift can classify at
-#: most ``noisy`` — three repetitions cannot establish significance, and
-#: smoke-suite wall series are exactly that small.
-MIN_WALL_SAMPLES = 4
+
+def _median(series: MetricSeries | None) -> float | None:
+    return median(series.samples) if series is not None and series.samples else None
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Detector knobs (defaults tuned for smoke-suite sample counts)."""
-
-    #: Relative tolerance for deterministic medians (2% absorbs e.g.
-    #: intentional small cost-model tweaks; a real pathology is far bigger).
-    deterministic_rel: float = 0.02
-    #: Wall shift must exceed this many pooled MADs...
-    mad_k: float = 4.0
-    #: ...and this fraction of the baseline median.
-    wall_rel_floor: float = 0.10
-    #: Bootstrap resamples and confidence for the median CI.
-    bootstrap_iters: int = 2000
-    confidence: float = 0.95
-    bootstrap_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise PerfError(f"confidence must be in (0,1), got {self.confidence}")
-        if self.bootstrap_iters < 1:
-            raise PerfError("bootstrap_iters must be >= 1")
-
-
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation (a robust spread estimate)."""
-    if not values:
-        raise PerfError("MAD of empty sequence")
-    med = median(values)
-    return median([abs(v - med) for v in values])
-
-
-def bootstrap_ci_median(
-    values: Sequence[float],
-    iters: int = 2000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """A percentile-bootstrap confidence interval on the median.
-
-    Fully deterministic under a fixed ``seed`` (``random.Random`` is a
-    seeded Mersenne twister, identical on every host and Python version),
-    so the CI gate's verdicts are reproducible.
-    """
-    if not values:
-        raise PerfError("bootstrap of empty sequence")
-    if len(values) == 1:
-        return (float(values[0]), float(values[0]))
-    rng = random.Random(seed)
-    n = len(values)
-    medians = []
-    for _ in range(iters):
-        resample = [values[rng.randrange(n)] for _ in range(n)]
-        medians.append(median(resample))
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        percentile(medians, alpha * 100.0),
-        percentile(medians, (1.0 - alpha) * 100.0),
-    )
+def _values(series: MetricSeries) -> str:
+    return ", ".join(f"{v:.15g}" for v in sorted(set(series.samples))) or "no samples"
 
 
 @dataclass
 class MetricComparison:
-    """One metric's verdict."""
+    """One metric's row: the medians on each side and, for a
+    deterministic metric, its verdict."""
 
     benchmark: str
     metric: str
     kind: str
-    verdict: str
+    #: ``None`` for wall-clock rows, which are shown but never judged.
+    verdict: str | None
     baseline_median: float | None = None
     current_median: float | None = None
-    ratio: float | None = None
-    #: True when this row alone can fail the gate (deterministic regressed).
-    gates: bool = False
     note: str = ""
+
+    @property
+    def ratio(self) -> float | None:
+        if self.baseline_median and self.current_median is not None:
+            return self.current_median / self.baseline_median
+        return None
+
+    @property
+    def fails(self) -> bool:
+        return self.verdict not in (None, OK)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -129,147 +71,78 @@ class MetricComparison:
             "baseline_median": self.baseline_median,
             "current_median": self.current_median,
             "ratio": self.ratio,
-            "gates": self.gates,
             "note": self.note,
         }
-
-
-def classify_deterministic(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    thresholds: Thresholds,
-) -> tuple[str, str]:
-    """Verdict + note for a deterministic series pair."""
-    base_med, cur_med = median(baseline), median(current)
-    if base_med == cur_med:
-        return OK, ""
-    if base_med == 0.0:
-        return (REGRESSED if cur_med > 0 else IMPROVED), "baseline median is 0"
-    ratio = cur_med / base_med
-    if ratio > 1.0 + thresholds.deterministic_rel:
-        return REGRESSED, f"{ratio:.3f}x > 1+{thresholds.deterministic_rel:g}"
-    if ratio < 1.0 - thresholds.deterministic_rel:
-        return IMPROVED, f"{ratio:.3f}x"
-    return OK, "within deterministic tolerance"
-
-
-def classify_wall(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    thresholds: Thresholds,
-) -> tuple[str, str]:
-    """Verdict + note for a wall-clock series pair (never gates)."""
-    base_med, cur_med = median(baseline), median(current)
-    shift = cur_med - base_med
-    spread = max(mad(baseline), mad(current))
-    floor = thresholds.wall_rel_floor * abs(base_med)
-    if abs(shift) <= max(thresholds.mad_k * spread, floor):
-        return OK, ""
-    if min(len(baseline), len(current)) < MIN_WALL_SAMPLES:
-        return NOISY, (
-            f"shift {shift:+.3g} beyond the MAD guard, but fewer than "
-            f"{MIN_WALL_SAMPLES} samples per side cannot establish it"
-        )
-    base_lo, base_hi = bootstrap_ci_median(
-        baseline,
-        thresholds.bootstrap_iters,
-        thresholds.confidence,
-        thresholds.bootstrap_seed,
-    )
-    cur_lo, cur_hi = bootstrap_ci_median(
-        current,
-        thresholds.bootstrap_iters,
-        thresholds.confidence,
-        # A distinct stream per side; still fixed, still deterministic.
-        thresholds.bootstrap_seed + 1,
-    )
-    if cur_lo <= base_hi and base_lo <= cur_hi:
-        return NOISY, (
-            f"shift {shift:+.3g} beyond MAD guard but CIs overlap "
-            f"[{base_lo:.3g},{base_hi:.3g}] vs [{cur_lo:.3g},{cur_hi:.3g}]"
-        )
-    if shift > 0:
-        return REGRESSED, f"median {base_med:.3g} -> {cur_med:.3g}, CIs separate"
-    return IMPROVED, f"median {base_med:.3g} -> {cur_med:.3g}, CIs separate"
 
 
 def compare_series(
     benchmark: str,
     metric: str,
-    baseline: MetricSeries,
-    current: MetricSeries,
-    thresholds: Thresholds,
+    baseline: MetricSeries | None,
+    current: MetricSeries | None,
 ) -> MetricComparison:
-    if baseline.kind != current.kind:
-        return MetricComparison(
-            benchmark,
-            metric,
-            current.kind,
-            NOISY,
-            note=f"metric kind changed {baseline.kind} -> {current.kind}",
-        )
-    if not baseline.samples or not current.samples:
-        return MetricComparison(
-            benchmark, metric, current.kind, NOISY, note="empty sample set"
-        )
-    if current.kind == DETERMINISTIC:
-        verdict, note = classify_deterministic(
-            baseline.samples, current.samples, thresholds
-        )
-    else:
-        verdict, note = classify_wall(baseline.samples, current.samples, thresholds)
-    base_med, cur_med = median(baseline.samples), median(current.samples)
-    return MetricComparison(
-        benchmark=benchmark,
-        metric=metric,
-        kind=current.kind,
-        verdict=verdict,
-        baseline_median=base_med,
-        current_median=cur_med,
-        ratio=(cur_med / base_med) if base_med else None,
-        gates=(current.kind == DETERMINISTIC and verdict == REGRESSED),
-        note=note,
+    """The row for one metric present on at least one side."""
+    shown = current if current is not None else baseline
+    assert shown is not None
+    row = MetricComparison(
+        benchmark,
+        metric,
+        shown.kind,
+        None,
+        baseline_median=_median(baseline),
+        current_median=_median(current),
     )
+    if all(s is None or s.kind == WALL for s in (baseline, current)):
+        return row
+    if baseline is None:
+        row.verdict, row.note = NEW, "the baseline lacks this metric"
+    elif current is None:
+        row.verdict, row.note = MISSING, "absent from the current run"
+    elif baseline.kind != current.kind:
+        row.verdict, row.note = CHANGED, f"kind {baseline.kind} -> {current.kind}"
+    elif len(set(baseline.samples)) == 1 and set(current.samples) == set(
+        baseline.samples
+    ):
+        row.verdict = OK
+    else:
+        row.verdict = CHANGED
+        row.note = f"{_values(baseline)} -> {_values(current)}"
+    return row
 
 
 @dataclass
 class Comparison:
-    """Every metric's verdict for a (baseline, current) report pair."""
+    """Every metric's row for a (baseline, current) report pair."""
 
     baseline_suite: str
     current_suite: str
+    pattern: str | None = None
     rows: list[MetricComparison] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.rows)
 
     @property
-    def gating_regressions(self) -> list[MetricComparison]:
-        return [r for r in self.rows if r.gates]
-
-    @property
-    def wall_regressions(self) -> list[MetricComparison]:
-        return [r for r in self.rows if r.verdict == REGRESSED and not r.gates]
-
-    @property
-    def ok(self) -> bool:
-        return not self.gating_regressions
+    def failures(self) -> list[MetricComparison]:
+        return [r for r in self.rows if r.fails]
 
     def exit_code(self) -> int:
-        """The machine-readable gate: 0 clean, 1 deterministic regression
-        (wall-clock regressions warn; errors exit 2 via the CLI)."""
-        return 0 if self.ok else 1
+        """The machine-readable gate: 0 when every deterministic metric
+        matches, 1 otherwise (errors exit 2 via the CLI)."""
+        return 1 if self.failures else 0
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for row in self.rows:
-            out[row.verdict] = out.get(row.verdict, 0) + 1
+            key = row.verdict or WALL
+            out[key] = out.get(key, 0) + 1
         return out
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "baseline_suite": self.baseline_suite,
             "current_suite": self.current_suite,
+            "pattern": self.pattern,
             "counts": self.counts(),
             "exit_code": self.exit_code(),
             "rows": [r.to_dict() for r in self.rows],
@@ -279,68 +152,28 @@ class Comparison:
         counts = self.counts()
         parts = [
             f"{counts[v]} {v}"
-            for v in (REGRESSED, IMPROVED, NOISY, OK, NEW, MISSING)
+            for v in (CHANGED, MISSING, NEW, OK, WALL)
             if counts.get(v)
         ]
-        verdict = "PASS" if self.ok else "FAIL"
-        gate = len(self.gating_regressions)
-        return (
-            f"{verdict}: {', '.join(parts) or 'no metrics'} "
-            f"({gate} gating deterministic regression{'s' if gate != 1 else ''})"
-        )
+        verdict = "FAIL" if self.failures else "PASS"
+        return f"{verdict}: {', '.join(parts) or 'no metrics'}"
 
 
-def compare_reports(
-    baseline: PerfReport,
-    current: PerfReport,
-    thresholds: Thresholds | None = None,
-) -> Comparison:
-    """Compare every metric of ``current`` against ``baseline``."""
-    thresholds = thresholds or Thresholds()
-    comparison = Comparison(baseline.suite, current.suite)
-    for bench_name, cur_bench in sorted(current.benchmarks.items()):
-        base_bench = baseline.benchmarks.get(bench_name)
-        for metric_name, cur_series in sorted(cur_bench.metrics.items()):
-            base_series = (
-                base_bench.metrics.get(metric_name) if base_bench else None
-            )
-            if base_series is None:
-                comparison.rows.append(
-                    MetricComparison(
-                        bench_name,
-                        metric_name,
-                        cur_series.kind,
-                        NEW,
-                        current_median=(
-                            median(cur_series.samples)
-                            if cur_series.samples
-                            else None
-                        ),
-                        note="no baseline series",
-                    )
-                )
-                continue
+def compare_reports(baseline: PerfReport, current: PerfReport) -> Comparison:
+    """Compare ``current`` against the baseline benchmarks its pattern
+    covers."""
+    pattern = current.config.get("pattern")
+    covered = {
+        name: bench
+        for name, bench in baseline.benchmarks.items()
+        if pattern is None or fnmatch.fnmatch(name, pattern)
+    }
+    comparison = Comparison(baseline.suite, current.suite, pattern)
+    for name in sorted(set(covered) | set(current.benchmarks)):
+        base = covered[name].metrics if name in covered else {}
+        cur = current.benchmarks[name].metrics if name in current.benchmarks else {}
+        for metric in sorted(set(base) | set(cur)):
             comparison.rows.append(
-                compare_series(
-                    bench_name, metric_name, base_series, cur_series, thresholds
-                )
+                compare_series(name, metric, base.get(metric), cur.get(metric))
             )
-    for bench_name, base_bench in sorted(baseline.benchmarks.items()):
-        cur_bench = current.benchmarks.get(bench_name)
-        for metric_name, base_series in sorted(base_bench.metrics.items()):
-            if cur_bench is None or metric_name not in cur_bench.metrics:
-                comparison.rows.append(
-                    MetricComparison(
-                        bench_name,
-                        metric_name,
-                        base_series.kind,
-                        MISSING,
-                        baseline_median=(
-                            median(base_series.samples)
-                            if base_series.samples
-                            else None
-                        ),
-                        note="baseline metric absent from current run",
-                    )
-                )
     return comparison

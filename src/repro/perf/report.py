@@ -3,7 +3,7 @@
 A :class:`PerfReport` is the one JSON shape every benchmark producer
 emits — the ``repro bench`` runner, ``benchmarks/bench_sweep_micro.py``,
 and the serve load generator all write it — and the one shape the
-baseline store and regression detector consume. Schema::
+baselines and the gate consume. Schema::
 
     {
       "schema": 1,
@@ -11,7 +11,7 @@ baseline store and regression detector consume. Schema::
       "suite": "smoke",
       "env": {"python": ..., "numpy": ..., "machine": ...,
               "cpu_count": ..., "git_sha": ...},
-      "config": {"reps": ..., "warmup": ..., "inject": ...},
+      "config": {"mode": ..., "pattern": ..., ...},
       "benchmarks": {
         "<name>": {
           "config": {...},
@@ -26,13 +26,12 @@ baseline store and regression detector consume. Schema::
 ``deterministic`` series are simulated quantities (cycles, bus
 transactions, bytes) that must be bit-identical across hosts;
 ``wall`` series are host timings. The distinction drives the CI gate:
-deterministic regressions fail, wall regressions warn
+any change to a deterministic series fails, wall series are only shown
 (docs/BENCHMARKING.md).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -189,14 +188,6 @@ class PerfReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def digest(self) -> str:
-        """Content address: sha256 of the canonical (compact, sorted)
-        JSON encoding. The baseline store files objects under this."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dumps())

@@ -7,8 +7,8 @@ environment metadata (python, numpy, CPU, git sha) and emits a
 :class:`~repro.perf.report.PerfReport`.
 
 Deterministic series are sanity-checked: a "deterministic" metric whose
-repetitions disagree is reported under ``detail["nondeterministic"]`` —
-the gate still runs on its median, but the drift is visible rather than
+repetitions disagree is reported under ``detail["nondeterministic"]``
+(the exact gate also fails it), so the drift is named rather than
 silently averaged away.
 """
 
@@ -26,7 +26,6 @@ from repro.perf.registry import (
     select,
 )
 from repro.perf.report import BenchmarkResult, MetricSeries, PerfReport
-from repro.settings import Settings
 
 #: Optional progress sink: (benchmark name, seconds, metric count).
 Progress = Callable[[str, float, int], None]
@@ -99,7 +98,6 @@ class Runner:
     ) -> PerfReport:
         if benchmarks is None:
             benchmarks = select(suite=suite, pattern=pattern)
-        inject = Settings.from_env().perf_inject
         report = PerfReport(
             suite=suite,
             config={
@@ -107,7 +105,6 @@ class Runner:
                 "reps_override": self.reps,
                 "warmup_override": self.warmup,
                 "pattern": pattern,
-                "inject": inject,
             },
         )
         nondeterministic: list[str] = []

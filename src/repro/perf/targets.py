@@ -5,8 +5,8 @@ vectorized sweep scan (PR 2's 7.5x), the batched cache span arithmetic,
 the scheduler step loop, result serialization, snapshot save/restore —
 plus traced end-to-end runs whose deterministic simulated-cycle metrics
 (wall cycles, STW cycles, bus transactions, folded from the obs
-:class:`~repro.obs.metrics.MetricsRegistry`) gate hard in CI while the
-wall-clock series only warn.
+:class:`~repro.obs.metrics.MetricsRegistry`) must match the committed
+baseline exactly in CI, while the wall-clock series are only shown.
 
 ``benchmarks/bench_sweep_micro.py`` reuses the sweep rig below for its
 scalar-vs-vectorized comparison, so the standalone script and the

@@ -8,7 +8,7 @@ job, never per simulated event, never at construction time — so tests
 can flip a knob per-case with ``monkeypatch.setenv`` and job processes
 see what their parent exported before forking them.
 
-:class:`Settings` is the 13 knobs as one frozen, typed value:
+:class:`Settings` is the 12 knobs as one frozen, typed value:
 
 - :meth:`Settings.from_env` is the single parse point (validation and
   typed defaults included) — call it with no argument for the process
@@ -45,7 +45,6 @@ The knobs:
 ``REPRO_SERVE_WORKERS``  serve daemon concurrent job processes (2)
 ``REPRO_SERVE_QUEUE``    serve admission bound (64)
 ``REPRO_SERVE_JOB_TIMEOUT`` seconds per serve job process (none)
-``REPRO_PERF_INJECT``    multiply deterministic bench samples (off)
 ``REPRO_BENCH_FORCE``    overwrite benchmark reports cross-commit (off)
 ======================== =============================================
 """
@@ -95,15 +94,6 @@ def _parse_path(var: str, raw: str) -> Path | None:
 
 def _parse_flag(var: str, raw: str) -> bool:
     return raw not in ("0", "")
-
-
-def _parse_inject(var: str, raw: str) -> float | None:
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{var}={raw!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,6 @@ FIELDS: dict[str, _Field] = {
     "serve_job_timeout_s": _Field(
         "REPRO_SERVE_JOB_TIMEOUT", _parse_timeout, None, _str_plain
     ),
-    "perf_inject": _Field("REPRO_PERF_INJECT", _parse_inject, None, _str_plain),
     "bench_force": _Field("REPRO_BENCH_FORCE", _parse_flag, False, _str_flag),
 }
 
@@ -198,7 +187,6 @@ class Settings:
     serve_workers: int = 2
     serve_queue: int = 64
     serve_job_timeout_s: float | None = None
-    perf_inject: float | None = None
     bench_force: bool = False
 
     def __post_init__(self) -> None:

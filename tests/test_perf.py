@@ -1,39 +1,35 @@
 """The continuous-benchmarking subsystem (``repro.perf``).
 
-Covers the regression detector on synthetic distributions (the verdicts
-the CI gate hangs off), bootstrap determinism under a fixed seed, the
-PerfReport schema round-trip (property-based), the content-addressed
-baseline store with its git-sha overwrite guard, the runner's
-warmup/repetition semantics, the end-to-end gate exit codes (including
-the documented ``REPRO_PERF_INJECT`` 2x-regression drill), and the
-serve load generator's report envelope.
+Covers the exact gate (every deterministic sample must equal the
+baseline's value; wall-clock series are shown and never judged), one
+``bench compare --against`` case per situation the gate must catch, the
+PerfReport schema round-trip (property-based), the per-suite baseline
+files with their git-sha overwrite guard, the runner's
+warmup/repetition semantics, the end-to-end drill (a perturbed saved
+report fails the gate), the serve load generator's report envelope, and
+the committed baselines.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import PerfError
 from repro.perf.baselines import BaselineStore
 from repro.perf.registry import DETERMINISTIC, WALL, BenchmarkDef, Probe
 from repro.perf.regression import (
-    IMPROVED,
-    MIN_WALL_SAMPLES,
+    CHANGED,
     MISSING,
     NEW,
-    NOISY,
     OK,
-    REGRESSED,
-    Thresholds,
-    bootstrap_ci_median,
-    classify_deterministic,
-    classify_wall,
     compare_reports,
-    mad,
+    compare_series,
 )
 from repro.perf.report import (
     BenchmarkResult,
@@ -43,101 +39,43 @@ from repro.perf.report import (
 )
 from repro.perf.runner import Runner
 
-THRESHOLDS = Thresholds()
+BASELINES = Path(__file__).resolve().parent.parent / "perf" / "baselines"
 
 
-# --- Regression detector on synthetic distributions --------------------------
+# --- The exact rule on one deterministic series -----------------------------
+
+
+def _verdict(baseline: list[float], current: list[float]) -> str | None:
+    return compare_series(
+        "b",
+        "cycles",
+        MetricSeries(DETERMINISTIC, baseline),
+        MetricSeries(DETERMINISTIC, current),
+    ).verdict
 
 
 class TestClassifyDeterministic:
     def test_identical_is_ok(self):
-        verdict, _ = classify_deterministic([100.0] * 3, [100.0] * 3, THRESHOLDS)
-        assert verdict == OK
+        assert _verdict([100.0] * 3, [100.0] * 3) == OK
 
-    def test_within_tolerance_is_ok(self):
-        # 1% above a 2% tolerance band.
-        verdict, _ = classify_deterministic([100.0] * 3, [101.0] * 3, THRESHOLDS)
-        assert verdict == OK
+    def test_sample_counts_may_differ(self):
+        # The nightly run takes 20 samples against a 10-sample baseline.
+        assert _verdict([100.0] * 10, [100.0] * 20) == OK
 
     def test_doubling_regresses(self):
-        verdict, _ = classify_deterministic([100.0] * 3, [200.0] * 3, THRESHOLDS)
-        assert verdict == REGRESSED
-
-    def test_halving_improves(self):
-        verdict, _ = classify_deterministic([100.0] * 3, [50.0] * 3, THRESHOLDS)
-        assert verdict == IMPROVED
+        assert _verdict([100.0] * 3, [200.0] * 3) == CHANGED
 
     def test_growth_from_zero_regresses(self):
-        verdict, _ = classify_deterministic([0.0] * 3, [5.0] * 3, THRESHOLDS)
-        assert verdict == REGRESSED
+        assert _verdict([0.0] * 3, [5.0] * 3) == CHANGED
+
+    def test_nondeterministic_baseline_never_matches(self):
+        assert _verdict([100.0, 101.0], [100.0, 101.0]) == CHANGED
+
+    def test_empty_current_series_changes(self):
+        assert _verdict([100.0], []) == CHANGED
 
 
-class TestClassifyWall:
-    def test_same_distribution_is_ok(self):
-        base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00]
-        cur = [1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.03, 0.99]
-        verdict, _ = classify_wall(base, cur, THRESHOLDS)
-        assert verdict == OK
-
-    def test_clear_shift_regresses(self):
-        # 2x shift, tight spread, enough samples: unambiguous.
-        base = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99]
-        cur = [2.00, 2.02, 1.98, 2.01, 1.99, 2.03, 1.97, 2.00]
-        verdict, _ = classify_wall(base, cur, THRESHOLDS)
-        assert verdict == REGRESSED
-
-    def test_clear_drop_improves(self):
-        base = [2.00, 2.02, 1.98, 2.01, 1.99, 2.03, 1.97, 2.00]
-        cur = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99]
-        verdict, _ = classify_wall(base, cur, THRESHOLDS)
-        assert verdict == IMPROVED
-
-    def test_wide_noise_is_not_a_regression(self):
-        # The medians differ ~30% but spread swamps the shift: the MAD
-        # guard or the overlapping bootstrap CIs must hold the verdict
-        # at ok/noisy, never regressed.
-        base = [1.0, 3.0, 0.5, 2.5, 1.5, 2.8, 0.7, 2.0]
-        cur = [1.3, 3.8, 0.6, 3.2, 1.9, 3.5, 0.9, 2.6]
-        verdict, _ = classify_wall(base, cur, THRESHOLDS)
-        assert verdict in (OK, NOISY)
-
-    def test_tiny_absolute_wobble_is_ok(self):
-        # Microseconds-scale metric, zero MAD (identical samples), but
-        # the shift is under the relative floor: never alarms.
-        verdict, _ = classify_wall([1e-6] * 8, [1.05e-6] * 8, THRESHOLDS)
-        assert verdict == OK
-
-    def test_few_samples_cap_at_noisy(self):
-        # A giant shift with fewer than MIN_WALL_SAMPLES per side cannot
-        # establish significance: smoke suites run 3 reps.
-        base = [1.0, 1.01, 0.99]
-        cur = [5.0, 5.02, 4.98]
-        assert len(base) < MIN_WALL_SAMPLES
-        verdict, note = classify_wall(base, cur, THRESHOLDS)
-        assert verdict == NOISY
-        assert "samples" in note
-
-
-class TestBootstrap:
-    def test_deterministic_under_fixed_seed(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        first = bootstrap_ci_median(values, iters=500, seed=42)
-        second = bootstrap_ci_median(values, iters=500, seed=42)
-        assert first == second
-
-    def test_interval_brackets_median(self):
-        values = [1.0, 1.1, 0.9, 1.05, 0.95, 1.02, 0.98, 1.0]
-        lo, hi = bootstrap_ci_median(values, iters=1000)
-        assert lo <= 1.0 <= hi
-
-    def test_singleton_degenerates(self):
-        assert bootstrap_ci_median([3.0]) == (3.0, 3.0)
-
-    def test_mad_of_constant_is_zero(self):
-        assert mad([5.0, 5.0, 5.0]) == 0.0
-
-
-# --- Report comparison (catalog drift + gating) ------------------------------
+# --- Report comparison (catalog drift, kinds) --------------------------------
 
 
 def _report(suite: str, benchmarks: dict[str, dict[str, MetricSeries]]) -> PerfReport:
@@ -156,36 +94,114 @@ class TestCompareReports:
         base = _report("smoke", {"b": {"cycles": MetricSeries(DETERMINISTIC, [100])}})
         cur = _report("smoke", {"b": {"cycles": MetricSeries(DETERMINISTIC, [250])}})
         comparison = compare_reports(base, cur)
-        assert [r.verdict for r in comparison] == [REGRESSED]
-        assert comparison.gating_regressions
+        assert [r.verdict for r in comparison] == [CHANGED]
+        assert comparison.failures
         assert comparison.exit_code() == 1
         assert "FAIL" in comparison.summary()
 
     def test_wall_regression_does_not_gate(self):
-        base = _report(
-            "smoke", {"b": {"wall_s": MetricSeries(WALL, [1.0, 1.01, 0.99, 1.0, 1.02])}}
-        )
-        cur = _report(
-            "smoke", {"b": {"wall_s": MetricSeries(WALL, [3.0, 3.01, 2.99, 3.0, 3.02])}}
-        )
+        base = _report("smoke", {"b": {"wall_s": MetricSeries(WALL, [1.0, 1.01, 0.99])}})
+        cur = _report("smoke", {"b": {"wall_s": MetricSeries(WALL, [3.0, 3.01, 2.99])}})
         comparison = compare_reports(base, cur)
-        assert [r.verdict for r in comparison] == [REGRESSED]
-        assert not comparison.gating_regressions
-        assert comparison.wall_regressions
+        (row,) = comparison.rows
+        assert row.verdict is None
+        assert row.ratio == pytest.approx(3.0, rel=1e-3)
         assert comparison.exit_code() == 0
+        assert "PASS" in comparison.summary()
 
-    def test_catalog_drift_is_reported_not_gated(self):
+    def test_catalog_drift_fails(self):
         base = _report("smoke", {"old": {"c": MetricSeries(DETERMINISTIC, [1])}})
         cur = _report("smoke", {"new": {"c": MetricSeries(DETERMINISTIC, [1])}})
-        verdicts = {r.benchmark: r.verdict for r in compare_reports(base, cur)}
-        assert verdicts == {"new": NEW, "old": MISSING}
-        assert compare_reports(base, cur).exit_code() == 0
+        comparison = compare_reports(base, cur)
+        assert {r.benchmark: r.verdict for r in comparison} == {
+            "new": NEW,
+            "old": MISSING,
+        }
+        assert comparison.exit_code() == 1
 
-    def test_kind_change_is_noisy(self):
+    def test_kind_change_fails(self):
         base = _report("smoke", {"b": {"m": MetricSeries(DETERMINISTIC, [1.0])}})
         cur = _report("smoke", {"b": {"m": MetricSeries(WALL, [1.0])}})
         (row,) = compare_reports(base, cur).rows
-        assert row.verdict == NOISY
+        assert row.verdict == CHANGED
+        assert "kind" in row.note
+
+
+# --- One `bench compare --against` case per situation ------------------------
+
+
+def _baseline_report() -> PerfReport:
+    return _report(
+        "smoke",
+        {
+            "a.bench": {
+                "cycles": MetricSeries(DETERMINISTIC, [1000.0] * 3),
+                "bytes": MetricSeries(DETERMINISTIC, [512.0] * 3),
+                "wall_s": MetricSeries(WALL, [0.10, 0.11, 0.09]),
+            },
+            "b.bench": {
+                "cycles": MetricSeries(DETERMINISTIC, [7.0] * 3),
+                "wall_s": MetricSeries(WALL, [0.20, 0.21, 0.19]),
+            },
+        },
+    )
+
+
+def _compare_exit(tmp_path: Path, current: PerfReport) -> int:
+    baseline_path = tmp_path / "baseline.json"
+    current_path = tmp_path / "current.json"
+    _baseline_report().save(baseline_path)
+    current.save(current_path)
+    return main(
+        ["bench", "compare", str(current_path), "--against", str(baseline_path)]
+    )
+
+
+class TestExactGate:
+    def test_unchanged_report_passes(self, tmp_path):
+        assert _compare_exit(tmp_path, _baseline_report()) == 0
+
+    def test_one_sample_one_percent_higher_fails(self, tmp_path):
+        current = _baseline_report()
+        current.benchmarks["a.bench"].metrics["cycles"].samples[1] = 1010.0
+        assert _compare_exit(tmp_path, current) == 1
+
+    def test_one_sample_ten_percent_lower_fails(self, tmp_path):
+        current = _baseline_report()
+        current.benchmarks["a.bench"].metrics["cycles"].samples[2] = 900.0
+        assert _compare_exit(tmp_path, current) == 1
+
+    def test_deterministic_metric_recorded_as_wall_fails(self, tmp_path, monkeypatch):
+        # The gate must behave the same under GitHub Actions as locally.
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        current = _baseline_report()
+        current.benchmarks["a.bench"].metrics["bytes"].kind = WALL
+        assert _compare_exit(tmp_path, current) == 1
+
+    def test_missing_deterministic_metric_fails(self, tmp_path):
+        current = _baseline_report()
+        del current.benchmarks["a.bench"].metrics["bytes"]
+        assert _compare_exit(tmp_path, current) == 1
+
+    def test_new_deterministic_metric_fails(self, tmp_path):
+        current = _baseline_report()
+        current.benchmarks["a.bench"].metrics["faults"] = MetricSeries(
+            DETERMINISTIC, [0.0] * 3
+        )
+        assert _compare_exit(tmp_path, current) == 1
+
+    def test_wall_changes_alone_pass(self, tmp_path):
+        current = _baseline_report()
+        for bench in current.benchmarks.values():
+            wall = bench.metrics["wall_s"]
+            wall.samples = [3 * v for v in wall.samples]
+        assert _compare_exit(tmp_path, current) == 0
+
+    def test_filtered_run_ignores_other_benchmarks(self, tmp_path):
+        current = _baseline_report()
+        del current.benchmarks["b.bench"]
+        current.config["pattern"] = "a.*"
+        assert _compare_exit(tmp_path, current) == 0
 
 
 # --- PerfReport schema round-trip (property-based) ---------------------------
@@ -224,7 +240,6 @@ class TestPerfReport:
     def test_roundtrip(self, report):
         restored = PerfReport.loads(report.dumps())
         assert restored.to_dict() == report.to_dict()
-        assert restored.digest() == report.digest()
 
     def test_unknown_schema_refused(self):
         data = _report("smoke", {}).to_dict()
@@ -242,7 +257,7 @@ class TestPerfReport:
             MetricSeries(kind="cpu", samples=[1.0])
 
 
-# --- Baseline store + git-sha overwrite guard --------------------------------
+# --- Per-suite baseline files + git-sha overwrite guard ---------------------
 
 
 def _stamped(suite: str, sha: str | None, cycles: float = 100.0) -> PerfReport:
@@ -261,13 +276,18 @@ class TestBaselineStore:
     def test_record_and_load(self, tmp_path):
         store = BaselineStore(tmp_path / "baselines")
         report = _stamped("smoke", "aaa")
-        object_id = store.record(report)
+        path = store.record(report)
+        assert path == tmp_path / "baselines" / "smoke.json"
+        assert PerfReport.load(path).to_dict() == report.to_dict()
         assert store.load("smoke").to_dict() == report.to_dict()
-        assert store.ref("smoke")["object"] == object_id
-        assert (tmp_path / "baselines" / "objects" / f"{object_id}.json").exists()
 
     def test_missing_suite_error_names_remedy(self, tmp_path):
         with pytest.raises(PerfError, match="--record"):
+            BaselineStore(tmp_path).load("smoke")
+
+    def test_file_of_another_suite_refused(self, tmp_path):
+        _stamped("full", "aaa").save(tmp_path / "smoke.json")
+        with pytest.raises(PerfError, match="holds suite 'full'"):
             BaselineStore(tmp_path).load("smoke")
 
     def test_same_sha_rerecord_allowed(self, tmp_path):
@@ -282,12 +302,12 @@ class TestBaselineStore:
         with pytest.raises(PerfError, match="refusing to overwrite"):
             store.record(_stamped("smoke", "bbb"))
         store.record(_stamped("smoke", "bbb"), force=True)
-        assert store.ref("smoke")["git_sha"] == "bbb"
+        assert store.load("smoke").env["git_sha"] == "bbb"
 
     def test_unknown_sha_never_refuses(self, tmp_path, monkeypatch):
-        # Either side missing a sha (legacy report, tarball checkout):
-        # nothing to compare, the write proceeds. A record without an env
-        # sha falls back to the checkout's HEAD, so pin that to None too.
+        # Either side missing a sha (tarball checkout): nothing to
+        # compare, the write proceeds. A record without an env sha falls
+        # back to the checkout's HEAD, so pin that to None too.
         import repro.perf.baselines as baselines_mod
 
         monkeypatch.setattr(baselines_mod, "git_sha", lambda: None)
@@ -295,11 +315,6 @@ class TestBaselineStore:
         store.record(_stamped("smoke", None))
         store.record(_stamped("smoke", "aaa"))
         store.record(_stamped("smoke", None, cycles=1.0))
-
-    def test_objects_are_content_addressed(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        report = _stamped("smoke", "aaa")
-        assert store.record(report) == store.record(report) == report.digest()[:16]
 
     def test_check_overwrite_matrix(self):
         check_overwrite(None, "b", "x")
@@ -378,36 +393,27 @@ class TestRunner:
             Runner(mode="smoke").run(benchmarks=[_defs(doubled)])
 
 
-# --- The end-to-end gate (REPRO_PERF_INJECT drill) ---------------------------
+# --- The end-to-end drill ---------------------------------------------------
 
 
 class TestGateEndToEnd:
-    def _target(self, probe: Probe) -> None:
-        probe.record("cycles", 1000.0)
-        with probe.time():
-            pass
-
-    def test_injected_regression_fails_gate(self, tmp_path, monkeypatch):
-        store = BaselineStore(tmp_path)
-        runner = Runner(mode="smoke")
-        defs = [_defs(self._target)]
-        store.record(runner.run(benchmarks=defs))
-        # Clean re-run: gate passes.
-        clean = compare_reports(store.load("smoke"), runner.run(benchmarks=defs))
-        assert clean.exit_code() == 0
-        # The documented drill: inject a 2x deterministic multiplier.
-        monkeypatch.setenv("REPRO_PERF_INJECT", "2.0")
-        injected = compare_reports(store.load("smoke"), runner.run(benchmarks=defs))
-        assert injected.exit_code() == 1
-        (gating,) = injected.gating_regressions
-        assert gating.metric == "cycles" and gating.ratio == pytest.approx(2.0)
-
-    def test_injected_report_cannot_become_baseline(self, monkeypatch):
-        # The CLI refuses to record baselines produced with the inject
-        # knob; the refusal keys off config["inject"], set by the runner.
-        monkeypatch.setenv("REPRO_PERF_INJECT", "2.0")
-        report = Runner(mode="smoke").run(benchmarks=[_defs(self._target)])
-        assert report.config["inject"] == 2.0
+    def test_injected_regression_fails_gate(self, tmp_path):
+        """Record a real (filtered) smoke run, gate a fresh run against
+        it, then double one deterministic sample in the saved report:
+        ``bench compare --against`` must fail."""
+        run = ["bench", "run", "--suite", "smoke", "--filter", "sweep.scan",
+               "--baseline-dir", str(tmp_path), "--quiet"]
+        assert main([*run, "--record"]) == 0
+        report_path = tmp_path / "current.json"
+        assert main([*run, "--compare", "--out", str(report_path)]) == 0
+        data = json.loads(report_path.read_text())
+        samples = data["benchmarks"]["sweep.scan"]["metrics"]["bus_transactions"][
+            "samples"
+        ]
+        samples[0] *= 2
+        report_path.write_text(json.dumps(data))
+        against = ["--against", str(tmp_path / "smoke.json")]
+        assert main(["bench", "compare", str(report_path), *against]) == 1
 
 
 # --- The serve load generator's report --------------------------------------
@@ -436,22 +442,26 @@ class TestServeBenchReport:
         assert PerfReport.loads(report.dumps()).to_dict() == report.to_dict()
 
 
-# --- The committed baseline stays loadable -----------------------------------
+# --- The committed baselines stay loadable ----------------------------------
 
 
 class TestCommittedBaseline:
     def test_smoke_ref_resolves(self):
-        # The repo commits perf/baselines/; CI's perf-gate compares
-        # against it, so a corrupt store must fail here first.
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent / "perf" / "baselines"
-        store = BaselineStore(root)
-        report = store.load("smoke")
-        assert report.suite == "smoke"
+        # CI's perf-gate compares against perf/baselines/smoke.json, so a
+        # corrupt file must fail here first.
+        report = BaselineStore(BASELINES).load("smoke")
         kinds = {
             s.kind
             for b in report.benchmarks.values()
             for s in b.metrics.values()
         }
         assert DETERMINISTIC in kinds
+
+    @pytest.mark.parametrize("suite", ["smoke", "full"])
+    def test_deterministic_series_hold_one_value(self, suite):
+        # A baseline series with two values could never pass the gate.
+        report = BaselineStore(BASELINES).load(suite)
+        for name, bench in report.benchmarks.items():
+            for metric, series in bench.metrics.items():
+                if series.kind == DETERMINISTIC:
+                    assert len(set(series.samples)) == 1, f"{name}/{metric}"

@@ -39,7 +39,7 @@ class TestDefaults:
         for name, decl in FIELDS.items():
             assert decl.var.startswith("REPRO_")
             assert hasattr(s, name)
-        assert len(MANAGED_VARS) == len(FIELDS) == 13
+        assert len(MANAGED_VARS) == len(FIELDS) == 12
 
 
 class TestParsing:
@@ -50,14 +50,12 @@ class TestParsing:
             "REPRO_CACHE_DIR": "/tmp/c",
             "REPRO_PROGRESS": "1",
             "REPRO_PREFIX_EPOCH": "3",
-            "REPRO_PERF_INJECT": "0.25",
         })
         assert s.jobs == 4
         assert s.job_timeout_s == 2.5
         assert s.cache_dir == Path("/tmp/c")
         assert s.progress is True
         assert s.prefix_epoch == 3
-        assert s.perf_inject == 0.25
 
     def test_bad_int_is_loud(self):
         with pytest.raises(ConfigError, match="REPRO_JOBS='three' is not an integer"):
@@ -114,9 +112,6 @@ def _settings_strategy():
         serve_workers=st.integers(min_value=1, max_value=16),
         serve_queue=st.integers(min_value=1, max_value=256),
         serve_job_timeout_s=timeouts,
-        perf_inject=st.one_of(st.none(),
-                              st.floats(min_value=0.01, max_value=10.0,
-                                        allow_nan=False)),
         bench_force=st.booleans(),
     )
 
