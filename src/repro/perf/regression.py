@@ -100,13 +100,13 @@ def compare_series(
         row.verdict, row.note = MISSING, "absent from the current run"
     elif baseline.kind != current.kind:
         row.verdict, row.note = CHANGED, f"kind {baseline.kind} -> {current.kind}"
-    elif len(set(baseline.samples)) == 1 and set(current.samples) == set(
-        baseline.samples
-    ):
-        row.verdict = OK
     else:
-        row.verdict = CHANGED
-        row.note = f"{_values(baseline)} -> {_values(current)}"
+        expected = set(baseline.samples)
+        if len(expected) == 1 and set(current.samples) == expected:
+            row.verdict = OK
+        else:
+            row.verdict = CHANGED
+            row.note = f"{_values(baseline)} -> {_values(current)}"
     return row
 
 
