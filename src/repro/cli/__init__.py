@@ -22,8 +22,8 @@ Commands (one module per command in this package, each exposing
   job behind a Unix/TCP socket, request dedup against the result cache,
   admission control, live health/stats (docs/SERVING.md); ``serve
   bench`` is its load generator;
-- ``bench``    the simulated-behaviour gate: deterministic metrics
-  against ``perf/baselines/<suite>.json`` (docs/BENCHMARKING.md);
+- ``bench``    the simulated-behaviour gate: the golden ``RunResult``
+  corpus ``perf/corpus.json`` (docs/BENCHMARKING.md);
 - ``snapshot`` save/resume/inspect checkpoints and the warm-start prefix
   store (docs/SNAPSHOT.md, docs/WARMSTART.md);
 - ``list``     the available workloads and strategies (``--json`` for
@@ -42,6 +42,7 @@ from repro.errors import ReproError
 def build_parser() -> argparse.ArgumentParser:
     from repro.cli import (
         attack,
+        bench,
         campaign,
         check,
         compare,
@@ -54,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         trace,
         verify_paper,
     )
-    from repro.perf.cli import add_bench_parser
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.register(sub)
     serve.register(sub)
     snapshot.register(sub)
-    add_bench_parser(sub)
+    bench.register(sub)
     return parser
 
 

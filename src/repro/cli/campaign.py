@@ -31,10 +31,14 @@ def load_campaign(path: str):
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     import os
-    from pathlib import Path
 
     from repro.machine.costs import cycles_to_seconds
-    from repro.runner import CampaignProgress, ResultCache, run_jobs
+    from repro.runner import (
+        CampaignJobError,
+        CampaignProgress,
+        ResultCache,
+        run_jobs,
+    )
 
     campaign = load_campaign(args.spec)
     jobs = campaign.expand()
@@ -84,18 +88,24 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         lambda line: print(line, file=sys.stderr, flush=True)
     )
     progress = CampaignProgress(len(jobs), echo=echo)
-    if executor is not None:
-        results = executor.run(
-            jobs, cache=cache, timeout_s=args.timeout, progress=progress
-        )
-    else:
-        results = run_jobs(
-            jobs,
-            max_workers=max_workers,
-            cache=cache,
-            timeout_s=args.timeout,
-            progress=progress,
-        )
+    try:
+        if executor is not None:
+            results = executor.run(
+                jobs, cache=cache, timeout_s=args.timeout, progress=progress
+            )
+        else:
+            results = run_jobs(
+                jobs,
+                max_workers=max_workers,
+                cache=cache,
+                timeout_s=args.timeout,
+                progress=progress,
+            )
+    except CampaignJobError as exc:
+        # The jobs that finished are still results: keep them.
+        if args.results_dir:
+            _write_results(args.results_dir, jobs, exc.results)
+        raise
 
     rows = []
     for job, r in zip(jobs, results):
@@ -117,19 +127,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(progress.summary())
 
     if args.results_dir:
-        # One canonical-JSON file per job, named by its trace slug —
-        # byte-comparable across runs (the CI warm-start and dist smoke
-        # jobs cmp these against a reference sweep).
-        from repro.runner.campaign import job_trace_slug
-        from repro.runner.serialize import dumps_result
-
-        out = Path(args.results_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for job, r in zip(jobs, results):
-            (out / f"{job_trace_slug(job)}.json").write_text(
-                dumps_result(r) + "\n"
-            )
+        _write_results(args.results_dir, jobs, results)
     return 0
+
+
+def _write_results(directory: str, jobs, results) -> None:
+    """One canonical-JSON file per finished job, named by its trace slug:
+    byte-comparable across runs (the CI warm-start and dist smoke jobs
+    cmp these against a reference sweep). A failed job (``None``) writes
+    nothing."""
+    from pathlib import Path
+
+    from repro.runner.campaign import job_trace_slug
+    from repro.runner.serialize import dumps_result
+
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    for job, r in zip(jobs, results):
+        if r is not None:
+            (out / f"{job_trace_slug(job)}.json").write_text(dumps_result(r) + "\n")
 
 
 def add_campaign_arguments(

@@ -50,9 +50,9 @@ class StatsError(ReproError, ValueError):
 
 
 class PerfError(ReproError):
-    """The continuous-benchmarking layer was misused (unknown benchmark
-    or suite, malformed perf report, baseline overwrite at a different
-    git commit without force...)."""
+    """The behaviour gate or a benchmark report was misused (unreadable
+    golden corpus, malformed perf report, an overwrite of a record made
+    at a different git commit without force...)."""
 
 
 class SnapshotError(ReproError):

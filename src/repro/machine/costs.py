@@ -59,8 +59,6 @@ class CostModel:
     """
 
     # --- Core pipeline -------------------------------------------------
-    #: A plain register-to-register instruction (used for Compute ops).
-    op_compute: int = 1
     #: Issue cost of any load or store that hits in the cache.
     mem_hit: int = 4
     #: Additional penalty when a load or store misses to DRAM.

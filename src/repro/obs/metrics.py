@@ -149,24 +149,12 @@ class MetricsRegistry:
 
     def flatten(self) -> dict[str, float]:
         """Flat ``{name: value}`` scalar view: counters by value,
-        histograms by ``<name>.sum`` / ``<name>.count``.
-
-        This is the fold the continuous-benchmarking layer
-        (:mod:`repro.perf`) records as deterministic simulated-cycle
-        metrics alongside wall-clock — every value here is a function of
-        the simulation alone, so it must be bit-identical across hosts.
-        """
+        histograms by ``<name>.sum`` / ``<name>.count``."""
         out = {name: float(c.value) for name, c in sorted(self._counters.items())}
         for name, h in sorted(self._histograms.items()):
             out[f"{name}.sum"] = float(h.sum)
             out[f"{name}.count"] = float(h.count)
         return out
-
-    @classmethod
-    def flatten_dict(cls, data: Mapping[str, Any]) -> dict[str, float]:
-        """:meth:`flatten` applied to a :meth:`to_dict` snapshot (e.g. the
-        ``metrics`` fold on a :class:`~repro.core.metrics.RunResult`)."""
-        return cls.from_dict(data).flatten()
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-able snapshot (sorted, string-keyed throughout)."""

@@ -7,10 +7,11 @@ the machine, kernel, and allocator layers. Every hook site is guarded::
         TRACER.emit("cache.evict", source=..., lines=...)
 
 so the *disabled* cost is a single attribute check on a module-level
-object — no call, no allocation, no dict lookup (the perf-smoke
-benchmark pins this: tracing off must not move the sweep microbenchmark).
-The singleton is never rebound; hook sites may safely bind it at import
-time with ``from repro.obs.tracer import TRACER``.
+object — no call, no allocation, no dict lookup. No test pins that
+cost; a new hook site's host time shows up in ``bench/`` as
+``spec-churn`` ``wall_s``. The singleton is never rebound; hook sites
+may safely bind it at import time with
+``from repro.obs.tracer import TRACER``.
 
 When enabled, events land in a bounded ring buffer: once ``capacity``
 events are held, the oldest are overwritten and counted as dropped —

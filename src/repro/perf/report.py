@@ -1,17 +1,15 @@
 """The versioned perf-report envelope (schema v1).
 
-A :class:`PerfReport` is the one JSON shape every benchmark producer
-emits — the ``repro bench`` runner, ``benchmarks/bench_sweep_micro.py``,
-and the serve load generator all write it — and the one shape the
-baselines and the gate consume. Schema::
+A :class:`PerfReport` is the JSON shape the serve load generator
+(``repro serve bench``) writes. Schema::
 
     {
       "schema": 1,
       "kind": "perf-report",
-      "suite": "smoke",
+      "suite": "serve",
       "env": {"python": ..., "numpy": ..., "machine": ...,
               "cpu_count": ..., "git_sha": ...},
-      "config": {"mode": ..., "pattern": ..., ...},
+      "config": {...},
       "benchmarks": {
         "<name>": {
           "config": {...},
@@ -20,14 +18,14 @@ baselines and the gate consume. Schema::
           }
         }
       },
-      "detail": {...}        # free-form producer extras (speedups, raw
-    }                        # serve sections); never gated on
+      "detail": {...}        # free-form producer extras (the raw
+    }                        # serve sections)
 
 ``deterministic`` series are simulated quantities (cycles, bus
-transactions, bytes) that must be bit-identical across hosts;
-``wall`` series are host timings. The distinction drives the CI gate:
-any change to a deterministic series fails, wall series are only shown
-(docs/BENCHMARKING.md).
+transactions, bytes) that must be bit-identical across hosts; ``wall``
+series are host timings. :func:`check_overwrite` guards committed
+records (this envelope, the golden corpus, the figure harness's
+results) against being overwritten from another commit.
 """
 
 from __future__ import annotations
@@ -41,10 +39,14 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import PerfError
-from repro.perf.registry import DETERMINISTIC, WALL
 
 #: Bump when the envelope changes shape; readers refuse unknown versions.
 SCHEMA_VERSION = 1
+
+#: Metric kind for bit-identical simulated quantities.
+DETERMINISTIC = "deterministic"
+#: Metric kind for host wall-clock timings.
+WALL = "wall"
 
 
 def git_sha() -> str | None:

@@ -40,7 +40,14 @@ from repro.snapshot.prefix import PrefixStore, prefix_key
 
 class CampaignJobError(ReproError):
     """A campaign job failed terminally (its own exception, a repeated
-    crash or timeout, or no node left to run it)."""
+    crash or timeout, or no node left to run it).
+
+    ``results`` aligns with the batch's jobs: every job that finished
+    keeps its result, and a failed job holds ``None``."""
+
+    def __init__(self, message: str, results: Sequence[RunResult | None] = ()) -> None:
+        super().__init__(message)
+        self.results = list(results)
 
 
 class Batch:
@@ -176,6 +183,8 @@ class Batch:
                 f"{len(self._failures)} of {len(self.jobs)} jobs failed "
                 f"terminally; first: {self.jobs[index].describe()}: {reason}"
             )
-            raise CampaignJobError(f"{message}\n{detail}" if detail else message)
+            raise CampaignJobError(
+                f"{message}\n{detail}" if detail else message, self.results
+            )
         assert all(r is not None for r in self.results)
         return self.results  # type: ignore[return-value]

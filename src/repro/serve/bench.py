@@ -44,8 +44,8 @@ from typing import Any, Callable, Sequence
 import repro
 from repro.analysis import percentile
 from repro.errors import PerfError
-from repro.perf.registry import WALL
 from repro.perf.report import (
+    WALL,
     BenchmarkResult,
     MetricSeries,
     PerfReport,

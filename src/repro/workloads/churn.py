@@ -204,8 +204,9 @@ class ChurnWorkload(Workload):
                 yield Block(snap.barrier)
                 continue
             if task.phase == "build":
-                # Build phase: grow the live heap to its target.
-                if task.live_bytes < profile.heap_bytes:
+                # Build phase: grow the live heap to its target, and to
+                # at least the 3 objects the churn phase needs.
+                if task.live_bytes < profile.heap_bytes or len(task.objs) < 3:
                     obj = yield from self._alloc_obj(ctx, task.rng, task.objs)
                     task.live_bytes += obj.size
                 else:

@@ -169,6 +169,21 @@ class TestCampaignCommand:
         assert main(["campaign", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_failed_jobs_keep_finished_results(self, tmp_path, capsys):
+        path = self._write_spec(tmp_path, workloads=[
+            {"kind": "spec",
+             "params": {"benchmark": "hmmer", "input": "retro", "scale": 2048}},
+            {"kind": "spec",
+             "params": {"benchmark": "hmmer", "input": "retro", "scale": 0}},
+        ])
+        out = tmp_path / "results"
+        argv = ["campaign", path, "--no-cache", "--quiet", "--results-dir", str(out)]
+        assert main(argv) == 2
+        assert "2 of 4 jobs failed" in capsys.readouterr().err
+        written = sorted(p.name for p in out.iterdir())
+        assert len(written) == 2
+        assert all("scale-2048" in name for name in written)
+
 
 class TestServeBenchShim:
     """``serve bench`` forwards to the load generator before the main

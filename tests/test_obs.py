@@ -4,8 +4,8 @@ exporters, summaries, and the end-to-end record path.
 The load-bearing guarantees:
 
 - disabled tracing is a no-op (hook sites pay one attribute check and
-  emit nothing — the perf-smoke benchmark pins the cycle cost, these
-  tests pin the semantics);
+  emit nothing; these tests pin the semantics, and the host-time cost
+  shows up in ``bench/`` as ``spec-churn`` ``wall_s``);
 - the ring buffer bounds memory: overflow overwrites oldest, counts
   dropped, and keeps the survivors in order;
 - a recorded simulation trace validates against the event schema and

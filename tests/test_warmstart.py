@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc.quarantine import QuarantinePolicy
 from repro.core.config import RevokerKind, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.errors import SnapshotError
@@ -232,3 +233,38 @@ class TestRunJobsWarmStart:
         run_jobs(self._jobs(), max_workers=2, progress=progress)
         assert progress.prefix_captures == 0
         assert progress.prefix_hits == 4
+
+
+class TestWarmStartSaving:
+    """The four-revoker sweep run cold, then with the three siblings
+    forked from the leader's epoch-0 prefix. Warm work counts everything
+    before the capture point once: leader + sum(follower - prefix). The
+    quarantine floor is raised so the shared warmup dominates, the
+    regime warm-start targets, while every strategy still revokes."""
+
+    def _build(self, kind):
+        workload = spec.workload("hmmer", "retro", scale=1024, seed=1)
+        cfg = SimulationConfig(revoker=kind)
+        cfg.machine.memory_bytes = 32 << 20
+        cfg.policy = QuarantinePolicy(min_bytes=512 << 10)
+        return Simulation(workload, cfg)
+
+    def test_simulated_work_is_cut_and_results_hold(self):
+        cold = {kind: self._build(kind).run() for kind in REVOKING}
+        assert all(r.revocations >= 1 for r in cold.values())
+        cold_cycles = sum(r.wall_cycles for r in cold.values())
+
+        leader = self._build(REVOKING[0])
+        session = SnapshotSession(leader, prefix_plan(0))
+        leader_result = leader.run(snapshots=session)
+        assert session.captured, "the leader captured no prefix"
+        blob, capture_wall = session.captured[-1], session.headers[-1]["wall"]
+        assert dumps_result(leader_result) == dumps_result(cold[REVOKING[0]])
+        warm_cycles = leader_result.wall_cycles
+        for kind in REVOKING[1:]:
+            result = fork_simulation(blob, kind)[0].resume()
+            assert dumps_result(result) == dumps_result(cold[kind])
+            warm_cycles += result.wall_cycles - capture_wall
+
+        assert (cold_cycles, warm_cycles) == (15364438, 7764085)
+        assert cold_cycles / warm_cycles >= 1.8

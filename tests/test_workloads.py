@@ -149,6 +149,15 @@ class TestBenchmarkScaledRuns:
         assert result.wall_cycles > 0
         assert result.revocations >= 1
 
+    def test_two_large_first_draws_still_churn(self):
+        # Seed 2's first two hmmer draws are both 32 KiB, which alone
+        # reach the 64 KiB heap floor at this scale. The build phase must
+        # still leave enough objects for the churn phase to run.
+        w = spec.workload("hmmer", "retro", scale=1024, seed=2)
+        result = Simulation(w, SimulationConfig(revoker=RevokerKind.RELOADED)).run()
+        assert w.iterations_run > 0
+        assert result.revocations >= 1
+
     def test_bzip2_never_revokes(self):
         w = spec.workload("bzip2", "chicken", scale=1024)
         result = Simulation(w, SimulationConfig(revoker=RevokerKind.RELOADED)).run()
