@@ -19,9 +19,7 @@ at another commit refuses without ``--force``.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import threading
 from pathlib import Path
 
 import pytest
@@ -39,8 +37,8 @@ from repro.runner.campaign import build_config, execute_job
 from repro.runner.pool import run_jobs
 from repro.runner.progress import CampaignProgress
 from repro.serve.client import ServeClient
-from repro.serve.server import ServeConfig, SimulationServer
 from repro.snapshot import SnapshotPlan, SnapshotSession, restore_simulation
+from tests.test_dist import _start_daemon, _stop_daemon
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = corpus.load(ROOT / corpus.CORPUS_PATH)
@@ -101,19 +99,10 @@ def test_pool():
 def daemons(tmp_path_factory):
     """Two cache-less serve daemons on unix sockets, in threads."""
     tmp = tmp_path_factory.mktemp("corpus")
-    running = []
-    for name in ("n0", "n1"):
-        sock = os.path.join(str(tmp), f"{name}.sock")
-        server = SimulationServer(ServeConfig(socket_path=sock, workers=2, no_cache=True))
-        thread = threading.Thread(target=server.run, daemon=True)
-        thread.start()
-        with ServeClient(socket_path=sock) as client:
-            client.wait_ready(timeout=30.0)
-        running.append((server, thread, sock))
+    running = [_start_daemon(tmp, name) for name in ("n0", "n1")]
     yield [sock for _, _, sock in running]
     for server, thread, _ in running:
-        server.shutdown_threadsafe()
-        thread.join(timeout=30.0)
+        _stop_daemon(server, thread)
 
 
 def test_serve(daemons):
@@ -191,6 +180,11 @@ def _edit(path, change):
     path.write_text(json.dumps(data))
 
 
+def _row(out, name):
+    (line,) = [line for line in out.splitlines() if name in line]
+    return line
+
+
 def test_committed_corpus_passes(scratch_corpus, capsys):
     assert main(["bench"]) == 0
     assert f"all {len(EXPECTED)} entries match" in capsys.readouterr().out
@@ -200,23 +194,20 @@ def test_changed_entry_fails(scratch_corpus, capsys):
     name = corpus.label(corpus.matrix()[0])
     _edit(scratch_corpus, lambda d: d["results"].update({name: "0" * 64}))
     assert main(["bench"]) == 1
-    out = capsys.readouterr().out
-    assert name in out and corpus.CHANGED in out
+    assert corpus.CHANGED in _row(capsys.readouterr().out, name)
 
 
 def test_missing_entry_fails(scratch_corpus, capsys):
     _edit(scratch_corpus, lambda d: d["results"].update({"gone/none": "0" * 64}))
     assert main(["bench"]) == 1
-    out = capsys.readouterr().out
-    assert "gone/none" in out and corpus.MISSING in out
+    assert corpus.MISSING in _row(capsys.readouterr().out, "gone/none")
 
 
 def test_new_entry_fails(scratch_corpus, capsys):
     name = corpus.label(corpus.matrix()[-1])
     _edit(scratch_corpus, lambda d: d["results"].pop(name))
     assert main(["bench"]) == 1
-    out = capsys.readouterr().out
-    assert name in out and corpus.NEW in out
+    assert corpus.NEW in _row(capsys.readouterr().out, name)
 
 
 def test_record_over_another_commit_needs_force(scratch_corpus, monkeypatch, capsys):
