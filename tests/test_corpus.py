@@ -163,7 +163,7 @@ def test_one_cycle_of_sweep_page_overhead_fails(monkeypatch, capsys):
 
 
 @pytest.fixture()
-def scratch_corpus(tmp_path, monkeypatch, in_process):
+def cwd_corpus(tmp_path, monkeypatch, in_process):
     """A copy of the committed corpus as the CWD's, and ``repro bench``
     fed the in-process results instead of re-simulating them."""
     path = tmp_path / corpus.CORPUS_PATH
@@ -185,38 +185,38 @@ def _row(out, name):
     return line
 
 
-def test_committed_corpus_passes(scratch_corpus, capsys):
+def test_committed_corpus_passes(cwd_corpus, capsys):
     assert main(["bench"]) == 0
     assert f"all {len(EXPECTED)} entries match" in capsys.readouterr().out
 
 
-def test_changed_entry_fails(scratch_corpus, capsys):
+def test_changed_entry_fails(cwd_corpus, capsys):
     name = corpus.label(corpus.matrix()[0])
-    _edit(scratch_corpus, lambda d: d["results"].update({name: "0" * 64}))
+    _edit(cwd_corpus, lambda d: d["results"].update({name: "0" * 64}))
     assert main(["bench"]) == 1
     assert corpus.CHANGED in _row(capsys.readouterr().out, name)
 
 
-def test_missing_entry_fails(scratch_corpus, capsys):
-    _edit(scratch_corpus, lambda d: d["results"].update({"gone/none": "0" * 64}))
+def test_missing_entry_fails(cwd_corpus, capsys):
+    _edit(cwd_corpus, lambda d: d["results"].update({"gone/none": "0" * 64}))
     assert main(["bench"]) == 1
     assert corpus.MISSING in _row(capsys.readouterr().out, "gone/none")
 
 
-def test_new_entry_fails(scratch_corpus, capsys):
+def test_new_entry_fails(cwd_corpus, capsys):
     name = corpus.label(corpus.matrix()[-1])
-    _edit(scratch_corpus, lambda d: d["results"].pop(name))
+    _edit(cwd_corpus, lambda d: d["results"].pop(name))
     assert main(["bench"]) == 1
     assert corpus.NEW in _row(capsys.readouterr().out, name)
 
 
-def test_record_over_another_commit_needs_force(scratch_corpus, monkeypatch, capsys):
+def test_record_over_another_commit_needs_force(cwd_corpus, monkeypatch, capsys):
     monkeypatch.setenv("GITHUB_SHA", "b" * 40)
-    _edit(scratch_corpus, lambda d: d["env"].update({"git_sha": "a" * 40}))
-    before = scratch_corpus.read_text()
+    _edit(cwd_corpus, lambda d: d["env"].update({"git_sha": "a" * 40}))
+    before = cwd_corpus.read_text()
     assert main(["bench", "--record"]) == 2
     assert "refusing to overwrite" in capsys.readouterr().err
-    assert scratch_corpus.read_text() == before
+    assert cwd_corpus.read_text() == before
     assert main(["bench", "--record", "--force"]) == 0
-    assert corpus.load(scratch_corpus) == EXPECTED
-    assert json.loads(scratch_corpus.read_text())["env"]["git_sha"] == "b" * 40
+    assert corpus.load(cwd_corpus) == EXPECTED
+    assert json.loads(cwd_corpus.read_text())["env"]["git_sha"] == "b" * 40
