@@ -33,10 +33,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
     rows = []
     for name, verdict in differ.items():
+        current: list[object] = ["-"] * 3
         r = results.get(name)
-        current = ["-"] * 3 if r is None else [
-            r.wall_cycles, r.total_bus_transactions, r.revocations
-        ]
+        if r is not None:
+            current = [r.wall_cycles, r.total_bus_transactions, r.revocations]
         rows.append([name, verdict, *current])
     print(format_table(
         ["job", "verdict", "wall cycles", "bus", "revocations"],
