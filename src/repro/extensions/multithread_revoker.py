@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.kernel.revoker.base import SWEEP_YIELD_CYCLES
 from repro.kernel.revoker.reloaded import ReloadedRevoker
 from repro.machine.cpu import Core
 from repro.machine.pagetable import PTE
@@ -48,21 +47,7 @@ class MultithreadReloadedRevoker(ReloadedRevoker):
         done: Event,
         counter: list[int],
     ) -> Generator:
-        batch = 0
-        for pte in pages:
-            if pte.guard or pte.lg == new_lg:
-                continue
-            if pte.cap_dirty:
-                cycles = self.sweep_page(core, pte, record)
-            else:
-                cycles = self.gen_only_visit(pte, record)
-            pte.lg = new_lg
-            batch += cycles + self.costs.pmap_lock + self.costs.pte_update
-            if batch >= SWEEP_YIELD_CYCLES:
-                yield batch
-                batch = 0
-        if batch:
-            yield batch
+        yield from self.generation_pass(core, pages, new_lg, record)
         counter[0] -= 1
         if counter[0] == 0:
             self.machine.scheduler.signal(done)

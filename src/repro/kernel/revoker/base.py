@@ -1,5 +1,5 @@
-"""Shared revocation machinery: the page sweep, capability-root scans,
-and per-epoch phase timing records.
+"""Shared revocation machinery: the windowed page sweep engine,
+capability-root scans, and per-epoch phase timing records.
 
 Every strategy (CHERIvoke, Cornucopia, Reloaded) is a :class:`Revoker`
 whose :meth:`revoke` is a generator executing one full revocation epoch on
@@ -13,19 +13,25 @@ probe the revocation bitmap with the capability's *base*; clear the tag if
 painted (§2.2.2). Traffic is charged through the executing core's cache —
 the page's 64 lines plus the 32 bytes of shadow bitmap it maps to.
 
-The granule scan runs vectorized by default (one numpy gather of the
-page's tagged bases against the shadow bitmap, one masked store to clear
-revoked tags — what a hardware sweep engine would pipeline); the original
-per-granule loop remains as the reference model
-(:meth:`Revoker._scan_page_scalar`) that tests/test_sweep_equivalence.py
-pins the vector scan against.
+Every sweep runs on one engine, :meth:`Revoker._sweep`: the stop-the-world
+and concurrent sweeps of :meth:`Revoker.sweep_pages`, Reloaded's
+generation pass, and the foreground fault sweep (:meth:`Revoker.sweep_page`,
+a window of one page). A sweep yields to the scheduler once per
+:data:`SWEEP_YIELD_CYCLES` batch and nothing else runs in between, so the
+engine scans every page a batch can reach in one numpy gather of tagged
+bases against the shadow bitmap (what a hardware sweep engine would
+pipeline), charges them in order, and clears the condemned tags of the
+pages it charged as one masked store before the yield. The per-granule
+loop remains as the reference model (:meth:`Revoker._scan_window_scalar`)
+that tests/test_sweep_equivalence.py pins the vector scan against.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass, field
-from typing import Generator, Iterable
+from typing import Generator
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from repro.kernel.epoch import EpochClock
 from repro.kernel.hoards import KernelHoards, RegisterFile, ScanOutcome
 from repro.kernel.shadow import RevocationBitmap
 from repro.kernel.vm import AddressSpace
-from repro.machine.costs import LINES_PER_PAGE
+from repro.machine.costs import GRANULES_PER_PAGE, LINE_BYTES, LINES_PER_PAGE
 from repro.machine.cpu import Core
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PTE
@@ -95,6 +101,29 @@ class EpochRecord:
 
     def concurrent_cycles(self) -> int:
         return sum(p.duration for p in self.phases if p.kind == "concurrent")
+
+
+def _stale_dirty_window(
+    pages: list[PTE], start: int, new_lg: int, budget: int, limit: int, cheapest: int, clean: int
+) -> tuple[list[PTE], int]:
+    """The generation pass's window: the stale capability-dirty pages
+    among ``pages[start:]`` that ``budget`` reaches (at most ``limit``),
+    counting ``cheapest`` per content visit and ``clean`` per
+    generation-only visit; returns them and the index where the reach
+    stops."""
+    window: list[PTE] = []
+    stop, reach = start, 0
+    while stop < len(pages) and reach < budget and len(window) < limit:
+        pte = pages[stop]
+        stop += 1
+        if pte.guard or pte.lg == new_lg:
+            continue
+        if pte.cap_dirty:
+            window.append(pte)
+            reach += cheapest
+        else:
+            reach += clean
+    return window, stop
 
 
 class Revoker(abc.ABC):
@@ -172,7 +201,7 @@ class Revoker(abc.ABC):
                 end=end,
             )
 
-    # --- The sweep ----------------------------------------------------------------
+    # --- The sweep engine -----------------------------------------------------------
 
     def sweep_page(
         self,
@@ -184,6 +213,7 @@ class Revoker(abc.ABC):
     ) -> int:
         """Sweep one page's contents on ``core``; returns cycles consumed.
 
+        A window of one page through the engine (:meth:`_sweep`).
         Idempotent within an epoch (§4.3): overlapping foreground and
         background visits are safe, they just re-scan.
 
@@ -193,105 +223,194 @@ class Revoker(abc.ABC):
         runs on the application's core and leaves the page's lines behind
         for the application — the cache-warming effect §5.6 observes.
         """
-        memory = self.machine.memory
-        n_tagged, revoked = self._scan_page_vector(memory, pte.vpn)
-        if warm_cache:
-            misses = core.cache.access_page(pte.vpn, write=revoked > 0)
-        elif self.costs.tag_table_sweep:
-            # §7.5 relaxed tag coherence: consult the (written-back) tag
-            # table first and fetch only the data lines that hold tags.
-            # A page's tags are 32 bytes of tag table: about one line per
-            # two pages, charged via shadow-style amortized access below.
-            data_lines = min(
-                LINES_PER_PAGE, n_tagged * self.costs.tag_sweep_lines_per_cap
-            )
-            misses = data_lines + 1  # + the tag-table line (amortized high)
-            core.bus.read(core.name, misses)
-            if revoked:
-                core.bus.write(core.name, 1 + (revoked - 1) // 4)
-        else:
-            misses = LINES_PER_PAGE
-            core.bus.read(core.name, LINES_PER_PAGE)
-            if revoked:
-                # Revocation dirtied the page: write back the lines holding
-                # the cleared tags (16 granules per line).
-                core.bus.write(core.name, 1 + (revoked - 1) // 4)
-        # The page's 32 bytes of shadow bitmap stay cache-resident across
-        # consecutive pages (16 heap pages share a shadow line).
-        g0, _ = memory.page_granule_range(pte.vpn)
-        shadow_addr = self.shadow.shadow_addr_of_granule(g0)
-        misses += core.cache.access_range(shadow_addr, 32)
-        cycles = (
-            self.costs.page_sweep_cycles(n_tagged, revoked)
-            + misses * self.costs.mem_stream
-        )
-        if revoked and not pte.writable:
-            # §4.3: a read-only page is handled as read-only unless a
-            # capability on it must be revoked — then the full page-fault
-            # machinery upgrades it to writable for the clearing store.
-            cycles += self.costs.sweep_ro_upgrade
-            pte.writable = True
-        pte.swept_this_epoch = True
-        pte.redirtied = False
-        record.pages_swept += 1
-        record.caps_checked += n_tagged
-        record.caps_revoked += revoked
-        return cycles
-
-    # The granule scan exists twice: the scalar reference model below and
-    # the vectorized scan production runs. Both return (tagged, revoked)
-    # counts and leave memory in the same state;
-    # tests/test_sweep_equivalence.py swaps the reference in for the
-    # vector scan and pins the equivalence on full fixed-seed runs.
-
-    def _scan_page_scalar(self, memory, vpn: int) -> tuple[int, int]:
-        """Reference scan: probe each tagged granule's base one at a time."""
-        tagged = memory.tagged_granules_in_page(vpn)
-        revoked = 0
-        for granule in tagged:
-            cap = memory.cap_at_granule(granule)
-            if self.shadow.is_revoked(cap):
-                memory.clear_tag_at_granule(granule)
-                revoked += 1
-        return len(tagged), revoked
-
-    def _scan_page_vector(self, memory, vpn: int) -> tuple[int, int]:
-        """Vector scan: gather every tagged granule's capability base,
-        probe the shadow bitmap in one vector op, clear revoked tags as
-        one masked store."""
-        tags, bases = memory.page_tag_arrays(vpn)
-        idx = np.flatnonzero(tags)
-        if not idx.size:
-            return 0, 0
-        condemned = self.shadow.probe_bases(bases[idx])
-        revoked = int(np.count_nonzero(condemned))
-        if revoked:
-            g0, _ = memory.page_granule_range(vpn)
-            memory.clear_granules(idx[condemned] + g0)
-        return int(idx.size), revoked
+        return sum(self._sweep(core, [pte], record, warm_cache=warm_cache))
 
     def sweep_pages(
         self,
         core: Core,
-        pages: Iterable[PTE],
+        pages: list[PTE],
         record: EpochRecord,
         *,
         extra_per_page: int = 0,
     ) -> Generator:
-        """Sweep ``pages``, yielding accumulated cycles in
-        :data:`SWEEP_YIELD_CYCLES` batches (the common revoker inner
-        loop; ``extra_per_page`` covers per-page PTE bookkeeping). With
-        the world stopped nothing else can run, so batching the yields is
-        free — the pause ends at the same cycle — and saves one scheduler
-        step per page."""
+        """Sweep every page of ``pages``, yielding accumulated cycles in
+        :data:`SWEEP_YIELD_CYCLES` batches (the common revoker inner loop;
+        ``extra_per_page`` covers per-page PTE bookkeeping). With the world
+        stopped nothing else can run, so batching the yields is free — the
+        pause ends at the same cycle — and saves one scheduler step per
+        page."""
+        yield from self._sweep(core, pages, record, extra_per_page=extra_per_page)
+
+    def _sweep(
+        self,
+        core: Core,
+        pages: list[PTE],
+        record: EpochRecord,
+        *,
+        extra_per_page: int = 0,
+        new_lg: int | None = None,
+        warm_cache: bool = False,
+    ) -> Generator:
+        """The windowed sweep engine: visit ``pages`` in order on ``core``,
+        yielding accumulated cycles in :data:`SWEEP_YIELD_CYCLES` batches.
+
+        Between two yields nothing else runs, so each batch begins by
+        scanning a *window* — every page the rest of the batch's budget can
+        reach — in one read-only gather (:meth:`_scan_window`). It then
+        charges pages in order until the batch crosses the threshold,
+        clears the condemned tags of the charged pages only, and yields.
+        The rest of the window is dropped: the application may run at the
+        yield, so the next batch scans those pages again.
+
+        With ``new_lg`` set this is the generation pass: each page is
+        classified when the pass reaches it — a guard or already current
+        (skipped), capability-dirty (content sweep) or clean
+        (:meth:`gen_only_visit`) — and brought to generation ``new_lg``.
+        """
+        costs = self.costs
+        memory = self.machine.memory
+        cache = core.cache
+        shadow_addr = self.shadow.shadow_addr_of_granule
+        mem_stream = costs.mem_stream
+        tag_table_sweep = costs.tag_table_sweep
+        lines_per_cap = costs.tag_sweep_lines_per_cap
+        # The cheapest content visit: an untagged page, streaming the
+        # fewest data lines the sweep can read (the window's size unit).
+        least_lines = 1 if tag_table_sweep else LINES_PER_PAGE
+        cheapest = costs.page_sweep_cycles(0, 0) + least_lines * mem_stream + extra_per_page
+        clean = costs.sweep_clean_page + costs.pte_update + extra_per_page
         batch = 0
-        for pte in pages:
-            batch += self.sweep_page(core, pte, record) + extra_per_page
+        i, n = 0, len(pages)
+        while i < n:
+            budget = SWEEP_YIELD_CYCLES - batch
+            limit = self._window_size(budget, cheapest)
+            if new_lg is None:
+                stop = min(n, i + limit)
+                window = pages[i:stop]
+            else:
+                window, stop = _stale_dirty_window(pages, i, new_lg, budget, limit, cheapest, clean)
+            if window:
+                tagged, rows, granules = self._scan_window(memory, [p.vpn for p in window])
+                page_tagged = tagged.tolist()
+                page_revoked = np.bincount(rows, minlength=len(window)).tolist()
+            row = checked = cleared = reads = writes = hits = 0
+            last_line = -1
+            for pte in pages[i:stop]:
+                i += 1
+                if new_lg is not None:
+                    if pte.guard or pte.lg == new_lg:
+                        continue
+                    pte.lg = new_lg
+                    if not pte.cap_dirty:
+                        batch += self.gen_only_visit(pte, record) + extra_per_page
+                        if batch >= SWEEP_YIELD_CYCLES:
+                            break
+                        continue
+                    if row == len(window) or pte is not window[row]:
+                        scanned = window[row].vpn if row < len(window) else None
+                        raise SimulationError(
+                            f"sweep charged page {pte.vpn} for window row {row}, "
+                            f"which scanned page {scanned}"
+                        )
+                n_tagged = page_tagged[row]
+                revoked = page_revoked[row]
+                row += 1
+                checked += n_tagged
+                cleared += revoked
+                if warm_cache:
+                    misses = cache.access_page(pte.vpn, write=revoked > 0)
+                    last_line = -1
+                else:
+                    if tag_table_sweep:
+                        # §7.5 relaxed tag coherence: consult the
+                        # (written-back) tag table first and fetch only the
+                        # data lines that hold tags, plus the tag-table
+                        # line (one per two pages, charged amortized high).
+                        misses = min(LINES_PER_PAGE, n_tagged * lines_per_cap) + 1
+                    else:
+                        misses = LINES_PER_PAGE
+                    reads += misses
+                    if revoked:
+                        # Revocation dirtied the page: write back the lines
+                        # holding the cleared tags (four granules per line).
+                        writes += 1 + (revoked - 1) // 4
+                # The page's 32 bytes of shadow bitmap: consecutive pages
+                # share a shadow line, so a repeat is a hit that leaves the
+                # LRU order as it is.
+                addr = shadow_addr(pte.vpn * GRANULES_PER_PAGE)
+                if addr // LINE_BYTES == last_line:
+                    hits += 1
+                else:
+                    last_line = addr // LINE_BYTES
+                    misses += cache.access(addr)
+                cycles = costs.page_sweep_cycles(n_tagged, revoked) + misses * mem_stream
+                if revoked and not pte.writable:
+                    # §4.3: a read-only page is handled as read-only unless
+                    # a capability on it must be revoked — then the full
+                    # page-fault machinery upgrades it to writable for the
+                    # clearing store.
+                    cycles += costs.sweep_ro_upgrade
+                    pte.writable = True
+                pte.swept_this_epoch = True
+                pte.redirtied = False
+                batch += cycles + extra_per_page
+                if batch >= SWEEP_YIELD_CYCLES:
+                    break
+            # Condemned granules come in row order: the first ``cleared``
+            # belong to the charged pages.
+            if cleared:
+                memory.clear_granules(granules[:cleared])
+            if reads:
+                core.bus.read(core.name, reads)
+            if writes:
+                core.bus.write(core.name, writes)
+            cache.hits += hits
+            record.pages_swept += row
+            record.caps_checked += checked
+            record.caps_revoked += cleared
             if batch >= SWEEP_YIELD_CYCLES:
                 yield batch
                 batch = 0
         if batch:
             yield batch
+
+    def _window_size(self, budget: int, cheapest: int) -> int:
+        """Pages a batch's remaining ``budget`` can reach when no content
+        visit costs less than ``cheapest``: ``ceil(budget / cheapest)``,
+        never below 1 (unbounded if visits can be free)."""
+        if cheapest <= 0:
+            return sys.maxsize
+        return max(1, -(-budget // cheapest))
+
+    # The window scan exists twice: the vector scan production runs and
+    # the scalar reference model below. Both read memory only and return
+    # (tagged, rows, granules): each page's tagged-granule count, and the
+    # condemned granules with their window rows in page, then granule,
+    # order. tests/test_sweep_equivalence.py swaps the reference in and
+    # pins the equivalence on full fixed-seed runs.
+
+    def _scan_window(self, memory, vpns: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vector scan: gather every tagged granule of the window and
+        probe all their capability bases in one vector op."""
+        rows, granules, bases = memory.gather_tagged(vpns)
+        condemned = self.shadow.probe_bases(bases)
+        return np.bincount(rows, minlength=len(vpns)), rows[condemned], granules[condemned]
+
+    def _scan_window_scalar(self, memory, vpns: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reference scan: probe each tagged granule's base one at a time."""
+        tagged, rows, granules = [], [], []
+        for row, vpn in enumerate(vpns):
+            page = memory.tagged_granules_in_page(vpn)
+            tagged.append(len(page))
+            for granule in page:
+                if self.shadow.is_revoked(memory.cap_at_granule(granule)):
+                    rows.append(row)
+                    granules.append(granule)
+        return (
+            np.array(tagged, dtype=np.intp),
+            np.array(rows, dtype=np.intp),
+            np.array(granules, dtype=np.intp),
+        )
 
     def gen_only_visit(self, pte: PTE, record: EpochRecord) -> int:
         """Update a capability-clean page's generation without reading its

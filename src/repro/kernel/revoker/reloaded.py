@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.kernel.revoker.base import SWEEP_YIELD_CYCLES as _SWEEP_YIELD_CYCLES
-from repro.kernel.revoker.base import Revoker
+from repro.kernel.revoker.base import EpochRecord, Revoker
 from repro.machine.cpu import Core
+from repro.machine.pagetable import PTE
 from repro.machine.scheduler import CoreSlot, ResumeWorld, StopWorld
 from repro.obs.tracer import TRACER
 
@@ -107,24 +107,27 @@ class ReloadedRevoker(Revoker):
         concurrent_begin = slot.time
         self.machine.bus.sweep_begin()
         try:
-            batch = 0
-            per_page = self.costs.pmap_lock + self.costs.pte_update
-            for pte in self.machine.pagetable.mapped_pages():
-                if pte.guard or pte.lg == new_lg:
-                    continue  # foreground fault already healed it, or guard
-                if pte.cap_dirty:
-                    cycles = self.sweep_page(core, pte, record)
-                else:
-                    cycles = self.gen_only_visit(pte, record)
-                pte.lg = new_lg
-                batch += cycles + per_page
-                if batch >= _SWEEP_YIELD_CYCLES:
-                    yield batch
-                    batch = 0
-            if batch:
-                yield batch
+            yield from self.generation_pass(
+                core, list(self.machine.pagetable.mapped_pages()), new_lg, record
+            )
         finally:
             self.machine.bus.sweep_end()
         self._phase(record, "concurrent", "concurrent", concurrent_begin, slot.time)
 
         self._close_epoch(slot)
+
+    def generation_pass(
+        self, core: Core, pages: list[PTE], new_lg: int, record: EpochRecord
+    ) -> Generator:
+        """Bring every page of ``pages`` to generation ``new_lg`` on
+        ``core``: content-sweep the stale capability-dirty ones, give the
+        stale clean ones a generation-only visit, and skip guards and pages
+        a foreground fault already healed. Each visit also takes the pmap
+        lock and writes the PTE."""
+        yield from self._sweep(
+            core,
+            pages,
+            record,
+            extra_per_page=self.costs.pmap_lock + self.costs.pte_update,
+            new_lg=new_lg,
+        )

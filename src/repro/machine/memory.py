@@ -45,8 +45,8 @@ class TaggedMemory:
         #: Per-granule capability *base* addresses, valid only where the
         #: tag bit is set (stale values persist after tag clears — every
         #: reader must mask through :attr:`tags` first). This is what lets
-        #: the revocation sweep probe a whole page's capabilities against
-        #: the shadow bitmap in one vector op.
+        #: the revocation sweep probe a whole window of pages' capabilities
+        #: against the shadow bitmap in one vector op.
         self.cap_bases = np.zeros(self.num_granules, dtype=np.int64)
         #: Capability values for tagged granules only.
         self._caps: dict[int, Capability] = {}
@@ -127,16 +127,27 @@ class TaggedMemory:
         g0, g1 = self.page_granule_range(vpn)
         return [int(g) + g0 for g in np.flatnonzero(self.tags[g0:g1])]
 
-    def page_tag_arrays(self, vpn: int) -> tuple[np.ndarray, np.ndarray]:
-        """(tags, bases) views over page ``vpn``'s granules.
+    def gather_tagged(self, vpns: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, granule, base) of every tagged granule of pages ``vpns``.
 
-        Both are live numpy views (no copies); ``bases`` entries are only
-        meaningful where the corresponding ``tags`` entry is True. This is
-        the sweep fast path's input: probe every tagged granule's base
-        against the revocation bitmap in one gather.
+        ``row`` indexes ``vpns``; entries come in page order, then granule
+        order. Copies, not views: the sweep engine reads a window of pages
+        through this method alone, so it is the only sweep code that knows
+        the dense per-granule layout.
         """
-        g0, g1 = self.page_granule_range(vpn)
-        return self.tags[g0:g1], self.cap_bases[g0:g1]
+        count = len(vpns)
+        if count and vpns == list(range(vpns[0], vpns[0] + count)):
+            # Consecutive pages: one slice of the tag array.
+            g0 = vpns[0] * GRANULES_PER_PAGE
+            offsets = np.flatnonzero(self.tags[g0 : g0 + count * GRANULES_PER_PAGE])
+            rows, granules = offsets // GRANULES_PER_PAGE, offsets + g0
+        else:
+            pages = np.asarray(vpns, dtype=np.intp)
+            rows, offsets = np.divmod(
+                np.flatnonzero(self.tags.reshape(-1, GRANULES_PER_PAGE)[pages]), GRANULES_PER_PAGE
+            )
+            granules = pages[rows] * GRANULES_PER_PAGE + offsets
+        return rows, granules, self.cap_bases[granules]
 
     def clear_granules(self, granules: np.ndarray) -> None:
         """Revoke a batch of granules: clear their tags as one masked

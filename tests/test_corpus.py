@@ -4,11 +4,14 @@
 RunResult (:mod:`repro.perf.corpus`). Every path that can produce a
 result must reproduce those digests exactly: in-process (all entries,
 traced ones included), the local pool, one serve daemon, the dist
-coordinator over two daemons, warm-start, snapshot-resume and the
-reference sweep/cache loops. A path runs a subset of the matrix in
-which every family it can run and every revoker appear at least once
-(:func:`~repro.perf.corpus.cover`); only churn workloads snapshot, so
-warm-start and snapshot-resume run the SPEC families.
+coordinator over two daemons, warm-start, snapshot-resume, and two
+references for the windowed sweep engine: the scalar window scan and
+cache loop in place of the vector ones, and windows forced to one page.
+Both patches reach foreground and background sweeps alike. A path runs
+a subset of the matrix in which every family it can run and every
+revoker appear at least once (:func:`~repro.perf.corpus.cover`); only
+churn workloads snapshot, so warm-start and snapshot-resume run the
+SPEC families.
 
 The drills show the gate bites: one cycle added to
 ``sweep_page_overhead``, and a corpus entry changed, missing or new,
@@ -140,8 +143,14 @@ def test_snapshot_resume():
 
 
 def test_reference_loops(monkeypatch):
-    monkeypatch.setattr(Revoker, "_scan_page_vector", Revoker._scan_page_scalar)
+    monkeypatch.setattr(Revoker, "_scan_window", Revoker._scan_window_scalar)
     monkeypatch.setattr(Cache, "_touch_span", Cache._touch_loop)
+    jobs = corpus.cover()
+    _check(jobs, [execute_job(j) for j in jobs])
+
+
+def test_one_page_windows(monkeypatch):
+    monkeypatch.setattr(Revoker, "_window_size", lambda self, budget, cheapest: 1)
     jobs = corpus.cover()
     _check(jobs, [execute_job(j) for j in jobs])
 

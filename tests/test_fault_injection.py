@@ -40,23 +40,22 @@ class NoRootScanRevoker(ReloadedRevoker):
 
 
 class SkipsPagesRevoker(ReloadedRevoker):
-    """Reloaded whose background sweep skips every other dirty page."""
+    """Reloaded whose sweep skips every other dirty page it scans."""
 
     name = "broken-skips-pages"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._flip = False
+        self._scanned = 0
 
-    def sweep_page(self, core, pte, record, *, warm_cache=False):
-        self._flip = not self._flip
-        if self._flip:
-            # Pretend we swept: update bookkeeping without clearing tags.
-            pte.swept_this_epoch = True
-            pte.redirtied = False
-            record.pages_swept += 1
-            return 100
-        return super().sweep_page(core, pte, record, warm_cache=warm_cache)
+    def _scan_window(self, memory, vpns):
+        # Pretend to sweep every other page: its condemned granules drop
+        # out of the scan result, so the engine charges the page and
+        # updates its bookkeeping without clearing them.
+        tagged, rows, granules = super()._scan_window(memory, vpns)
+        kept = (rows + self._scanned) % 2 == 0
+        self._scanned += len(vpns)
+        return tagged, rows[kept], granules[kept]
 
 
 def run_attack(revoker_cls) -> tuple[UafAttacker, Simulation]:

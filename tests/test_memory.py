@@ -150,31 +150,46 @@ class TestPageQueries:
 
 
 class TestVectorViews:
-    """The per-page tag/base arrays feeding the vectorized sweep."""
+    """The tag/base arrays feeding the windowed sweep's gather."""
 
     def test_cap_bases_track_stores(self, mem):
         cap = Capability.root(0x4000, 64)
         mem.store_cap(0x1000, cap)
         assert mem.cap_bases[0x1000 // GRANULE_BYTES] == 0x4000
 
-    def test_page_tag_arrays_are_views(self, mem):
+    def test_gather_tagged_in_page_then_granule_order(self, mem):
+        # Stored out of order, gathered for pages listed out of address order.
+        mem.store_cap(0x3FF0, Capability.root(0x9000, 32))
+        mem.store_cap(0x1020, Capability.root(0x8100, 32))
+        mem.store_cap(0x3000, Capability.root(0x9100, 32))
         mem.store_cap(0x1000, Capability.root(0x8000, 32))
-        vpn = 0x1000 // PAGE_BYTES
-        tags, bases = mem.page_tag_arrays(vpn)
-        assert len(tags) == GRANULES_PER_PAGE and len(bases) == GRANULES_PER_PAGE
-        off = (0x1000 % PAGE_BYTES) // GRANULE_BYTES
-        assert tags[off] and bases[off] == 0x8000
-        # Live views: a store through the memory shows up immediately.
-        mem.store_cap(0x1010, Capability.root(0x9000, 32))
-        assert tags[off + 1] and bases[off + 1] == 0x9000
+        rows, granules, bases = mem.gather_tagged([3, 1])
+        assert rows.tolist() == [0, 0, 1, 1]
+        assert granules.tolist() == [g // GRANULE_BYTES for g in (0x3000, 0x3FF0, 0x1000, 0x1020)]
+        assert bases.tolist() == [0x9100, 0x9000, 0x8000, 0x8100]
+
+    @pytest.mark.parametrize("vpns", [[0, 2, 5], [1, 2, 3]], ids=["scattered", "consecutive"])
+    def test_gather_tagged_leaves_out_untagged_pages(self, mem, vpns):
+        mem.store_cap(0x2010, Capability.root(0x8000, 32))
+        rows, granules, bases = mem.gather_tagged(vpns)
+        assert rows.tolist() == [1]
+        assert granules.tolist() == [0x2010 // GRANULE_BYTES]
+        assert bases.tolist() == [0x8000]
+        assert [a.size for a in mem.gather_tagged([vpns[0]])] == [0, 0, 0]
 
     def test_bases_only_meaningful_under_tags(self, mem):
         mem.store_cap(0x1000, Capability.root(0x8000, 32))
         mem.store_data(0x1000, 16)  # clears the tag, base value is stale
-        tags, bases = mem.page_tag_arrays(0x1000 // PAGE_BYTES)
-        assert not tags[0]
-        granules = mem.tagged_granules_in_page(0x1000 // PAGE_BYTES)
-        assert granules == []
+        rows, granules, _ = mem.gather_tagged([0x1000 // PAGE_BYTES])
+        assert rows.size == granules.size == 0
+
+    def test_gather_tagged_is_a_copy(self, mem):
+        mem.store_cap(0x1000, Capability.root(0x8000, 32))
+        rows, granules, bases = mem.gather_tagged([1])
+        mem.store_cap(0x1010, Capability.root(0x9000, 32))
+        mem.clear_granules(granules)
+        assert granules.tolist() == [0x1000 // GRANULE_BYTES]
+        assert bases.tolist() == [0x8000]
 
     def test_clear_granules_matches_scalar_clear(self, mem):
         import numpy as np

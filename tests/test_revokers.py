@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.kernel.hoards import RegisterFile
 from repro.kernel.kernel import Kernel
 from repro.kernel.revoker import (
@@ -18,8 +19,11 @@ from repro.kernel.revoker import (
     CornucopiaRevoker,
     PaintSyncRevoker,
     ReloadedRevoker,
+    base,
 )
+from repro.kernel.revoker.base import SWEEP_YIELD_CYCLES
 from repro.machine.capability import Capability
+from repro.machine.costs import PAGE_BYTES
 from repro.machine.machine import Machine
 from repro.machine.trap import LoadGenerationFault
 
@@ -296,3 +300,68 @@ class TestReadOnlyPages:
             (dear if condemn else cheap).append(cycles)
             rig.kernel.epoch.end_revocation()
         assert dear[0] > cheap[0]
+
+
+class TestSweepWindows:
+    """The engine scans a window of pages per yield-batch; the scan must
+    never outlive the yield that ends its batch."""
+
+    def test_window_never_outlives_a_yield(self):
+        pages = 96
+        rig = Rig(CornucopiaRevoker, heap_bytes=pages * PAGE_BYTES)
+        heap = rig.heap.base
+        # One capability per page makes every page cap-dirty; every
+        # fourth one points at a condemned target.
+        condemned = 0
+        for page in range(pages):
+            target = rig.plant(page * PAGE_BYTES, heap + page * PAGE_BYTES + 2048)
+            if page % 4 == 0:
+                rig.condemn(target.base)
+                condemned += 1
+        stored_at, overwritten_at = 90 * PAGE_BYTES + 16, 80 * PAGE_BYTES
+        assert rig.machine.memory.load_cap(heap + overwritten_at) is not None
+        seen = []
+
+        def app():
+            # Poll until the sweep's first batch has been charged, then
+            # change two pages it has not reached before its next batch.
+            record = None
+            while record is None or record.pages_swept == 0:
+                yield 1_000
+                record = rig.revoker._current_record
+            seen.append(record.pages_swept)
+            doomed = rig.heap.derive(heap + 2048, 64)
+            yield rig.core_app.store_cap(rig.heap.with_address(heap + stored_at), doomed).cycles
+            yield rig.core_app.store_data(rig.heap.with_address(heap + overwritten_at), 16).cycles
+
+        sched = rig.machine.scheduler
+        sched.spawn("app", app(), 3)
+        controller = sched.spawn(
+            "controller", rig.revoker.revoke(rig.core_rev, sched.cores[2]), 2, stops_for_stw=False
+        )
+        sched.run(until=[controller])
+
+        record = rig.revoker.records[-1]
+        (concurrent,) = [p for p in record.phases if p.kind == "concurrent"]
+        assert concurrent.duration > 2 * SWEEP_YIELD_CYCLES
+        # The app acted between the first and second yield, on pages the
+        # sweep had not reached.
+        assert seen and 0 < seen[0] < 80
+        assert rig.machine.memory.load_cap(heap + stored_at) is None
+        assert rig.machine.memory.load_cap(heap + PAGE_BYTES) is not None
+        # Counted when charged: the stored capability, not the overwritten one.
+        assert record.caps_revoked == condemned - 1 + 1
+
+    def test_generation_pass_refuses_a_page_it_did_not_scan(self, monkeypatch):
+        rig = Rig(ReloadedRevoker)
+        for page in range(3):
+            rig.plant(page * PAGE_BYTES, rig.heap.base + 0x1000)
+        scan = base._stale_dirty_window
+
+        def skewed(pages, start, *args):
+            window, stop = scan(pages, start, *args)
+            return window[1:], stop
+
+        monkeypatch.setattr(base, "_stale_dirty_window", skewed)
+        with pytest.raises(SimulationError, match="which scanned page"):
+            rig.run_epoch()

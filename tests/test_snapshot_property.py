@@ -59,17 +59,11 @@ def _plan(kind: RevokerKind) -> SnapshotPlan:
     return SnapshotPlan(every_epochs=1)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    scale=st.integers(min_value=1024, max_value=8192),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_restore_resume_matches_straight_run(kind, scale, seed):
+SCALES = st.integers(min_value=1024, max_value=8192)
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def _check_restore_resume(kind, scale, seed):
     straight_sim = _build(kind, scale, seed)
     straight = result_to_dict(straight_sim.run(snapshots=_plan(kind)))
     session = straight_sim._snapshots
@@ -84,6 +78,24 @@ def test_restore_resume_matches_straight_run(kind, scale, seed):
         second = result_to_dict(twice.resume())
         assert first == straight
         assert second == first
+
+
+# Tier-1 draws 2 schedules per revoker: the golden corpus already pins
+# snapshot-resume on fixed seeds there. The ``full`` variant below draws
+# 8; tier-1 deselects it and a CI job runs it on every push.
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scale=SCALES, seed=SEEDS)
+def test_restore_resume_matches_straight_run(kind, scale, seed):
+    _check_restore_resume(kind, scale, seed)
+
+
+@pytest.mark.full
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scale=SCALES, seed=SEEDS)
+def test_restore_resume_full_budget(kind, scale, seed):
+    _check_restore_resume(kind, scale, seed)
 
 
 @settings(max_examples=6, deadline=None,

@@ -1,11 +1,17 @@
 """The vectorized/scalar equivalence suite.
 
-The sweep engine exists twice: the numpy-vectorized fast path that
-production runs and the scalar reference model, which these tests select
-by patching the two fast methods (``Revoker._scan_page_vector`` and
-``Cache._touch_span``) back onto their reference loops. They pin the
-contract that the two are *bit-identical*, not merely close: a fixed-seed
-run of every revocation strategy must produce the same
+The sweep engine scans a window of pages per yield-batch in one numpy
+gather. These tests pin it against two references, each selected by a
+patch that covers foreground and background sweeps alike:
+
+- the scalar reference model: ``Revoker._scan_window`` and
+  ``Cache._touch_span`` patched back onto their reference loops
+  (``Revoker._scan_window_scalar``, ``Cache._touch_loop``);
+- windows forced to one page (``Revoker._window_size`` patched to 1),
+  so every page is scanned just before it is charged.
+
+The contract is that each is *bit-identical*, not merely close: a
+fixed-seed run of every revocation strategy must produce the same
 :class:`~repro.core.metrics.RunResult` down to individual bus counters,
 wall cycles, pause lists, and per-epoch sweep statistics.
 
@@ -20,6 +26,7 @@ import pytest
 from repro.alloc.quarantine import QuarantinePolicy
 from repro.core.config import RevokerKind, SimulationConfig
 from repro.core.simulation import Simulation
+from repro.extensions.multithread_revoker import MultithreadReloadedRevoker
 from repro.kernel.revoker.base import Revoker
 from repro.machine.cache import Cache
 from repro.workloads.churn import ChurnProfile, ChurnWorkload, SizeMix
@@ -48,18 +55,24 @@ def _profile(seed: int) -> ChurnProfile:
 
 
 def _use_scalar_reference(monkeypatch) -> None:
-    monkeypatch.setattr(Revoker, "_scan_page_vector", Revoker._scan_page_scalar)
+    monkeypatch.setattr(Revoker, "_scan_window", Revoker._scan_window_scalar)
     monkeypatch.setattr(Cache, "_touch_span", Cache._touch_loop)
 
 
-def _config(kind: RevokerKind) -> SimulationConfig:
+def _use_one_page_windows(monkeypatch) -> None:
+    monkeypatch.setattr(Revoker, "_window_size", lambda self, budget, cheapest: 1)
+
+
+def _config(kind: RevokerKind, custom: type | None = None) -> SimulationConfig:
     # The default trigger (8 MiB of quarantine) is never reached by this
     # small profile; at 32 KiB every strategy runs 10+ epochs.
-    return SimulationConfig(revoker=kind, policy=QuarantinePolicy(min_bytes=32 << 10))
+    return SimulationConfig(
+        revoker=kind, policy=QuarantinePolicy(min_bytes=32 << 10), custom_revoker=custom
+    )
 
 
-def _run(kind: RevokerKind, seed: int):
-    return Simulation(ChurnWorkload(_profile(seed)), _config(kind)).run()
+def _run(kind: RevokerKind, seed: int, custom: type | None = None):
+    return Simulation(ChurnWorkload(_profile(seed)), _config(kind, custom)).run()
 
 
 def _fingerprint(result) -> dict:
@@ -100,6 +113,23 @@ def test_vectorized_matches_scalar_reference(kind, monkeypatch):
     _use_scalar_reference(monkeypatch)
     scalar = _fingerprint(_run(kind, seed=7))
     assert vector == scalar
+
+
+# reloaded-mt's default places both background stripes on the
+# controller's core, so their windows interleave on one cache.
+WINDOWED = [(kind, None) for kind in ALL_FOUR] + [
+    (RevokerKind.RELOADED, MultithreadReloadedRevoker)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, custom", WINDOWED, ids=[k.value for k in ALL_FOUR] + ["reloaded-mt"]
+)
+def test_one_page_windows_match(kind, custom, monkeypatch):
+    windowed = _fingerprint(_run(kind, seed=7, custom=custom))
+    assert windowed["revocations"] > 0
+    _use_one_page_windows(monkeypatch)
+    assert windowed == _fingerprint(_run(kind, seed=7, custom=custom))
 
 
 def test_vectorized_revocation_state_matches(monkeypatch):
