@@ -46,10 +46,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         # Workers inherit this through the pool's fork, so every fresh job
         # records a per-job trace artifact (see runner.campaign.execute_job).
         settings.set_env("trace_dir", args.trace_dir)
-    if args.snapshot_dir:
-        # Same inheritance: snapshot-capable jobs checkpoint at epoch
-        # closes and resume after worker crashes/timeouts (docs/SNAPSHOT.md).
-        settings.set_env("snapshot_dir", args.snapshot_dir)
     if args.warm_start or args.prefix_dir:
         # Warm-start: jobs sharing a workload prefix fork from one stored
         # checkpoint instead of cold-simulating the warmup (docs/WARMSTART.md).
@@ -175,10 +171,6 @@ def add_campaign_arguments(
                    help="record a per-job observability trace JSONL into this "
                         "directory (cache hits skip execution: combine with "
                         "--no-cache for full coverage)")
-    p.add_argument("--snapshot-dir", default=None,
-                   help="checkpoint snapshot-capable jobs into this directory "
-                        "at every epoch close; killed/timed-out jobs resume "
-                        "from their last checkpoint on retry (docs/SNAPSHOT.md)")
     p.add_argument("--warm-start", action="store_true",
                    help="share simulation prefixes across the sweep: capture "
                         "each group's warmup once and fork every sibling job "

@@ -26,7 +26,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
-        snapshot_dir=args.snapshot_dir,
         prefix_dir=args.prefix_dir,
         max_line_bytes=args.max_line_bytes,
     )
@@ -64,10 +63,6 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "~/.cache/repro/results)")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without reading or writing the result cache")
-    p.add_argument("--snapshot-dir", default=None,
-                   help="checkpoint snapshot-capable jobs into this directory "
-                        "(retried requests resume from the last checkpoint; "
-                        "default: $REPRO_SNAPSHOT_DIR)")
     p.add_argument("--prefix-dir", default=None,
                    help="warm-start prefix store: jobs fork sweep siblings "
                         "from one shared warmup checkpoint (docs/WARMSTART.md; "

@@ -12,7 +12,6 @@ from repro.analysis import format_table
 from repro.cli._common import _check_workload_name, _kind
 from repro.core.config import RevokerKind
 from repro.errors import ReproError
-from repro.settings import Settings
 from repro.workloads import spec
 
 
@@ -20,7 +19,6 @@ def _cmd_snapshot_prefix(args: argparse.Namespace) -> int:
     """Warm-start prefix store tools: ``list`` (stored prefixes and
     their provenance) and ``warm`` (pre-capture every prefix a campaign
     spec will need). docs/WARMSTART.md."""
-    import json
     from pathlib import Path
 
     from repro.snapshot import read_header
@@ -62,11 +60,10 @@ def _cmd_snapshot_prefix(args: argparse.Namespace) -> int:
 
     campaign = load_campaign(args.spec)
     settings.set_env("prefix_dir", str(root))
-    epoch = Settings.from_env().prefix_epoch
     groups: dict = {}
     for job in campaign.expand():
         if prefix_eligible(job):
-            groups.setdefault(prefix_key(job, epoch), job)
+            groups.setdefault(prefix_key(job), job)
     present = sum(1 for key in groups if key in store)
     captured = missed = 0
     for key in sorted(groups):

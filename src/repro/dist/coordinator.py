@@ -70,7 +70,6 @@ from repro.serve.client import (
     ServerUnavailable,
 )
 from repro.serve.protocol import E_INVALID_JOB, E_JOB_FAILED
-from repro.settings import Settings
 
 #: Error codes that are properties of the *job*, not the node: the
 #: simulation is deterministic, so re-dispatching elsewhere would fail
@@ -253,7 +252,7 @@ class DistributedExecutor:
             batch.progress.workers = len(self._ring)
         self.metrics.counter("dist.cache_hits").inc(batch.cache_hits)
         if self.warm_start:
-            batch.gate_prefixes(Settings.from_env().prefix_epoch)
+            batch.gate_prefixes()
         if batch.done:
             return batch.finish()
 

@@ -110,15 +110,18 @@ class RevocationBitmap:
         one gather; returns a bool array aligned with ``bases``.
 
         Bases past the end of the bitmap read as not-condemned, matching
-        the scalar probe's out-of-range rule.
+        the scalar probe's out-of-range rule. Capability bases are never
+        negative, so such a base makes the plain gather raise rather than
+        wrap, and only then is the range mask paid for.
         """
         g = bases // GRANULE_BYTES
-        in_range = g < self.num_granules
-        if in_range.all():
+        try:
             return self._bits[g]
-        out = np.zeros(len(g), dtype=bool)
-        out[in_range] = self._bits[g[in_range]]
-        return out
+        except IndexError:
+            in_range = g < self.num_granules
+            out = np.zeros(len(g), dtype=bool)
+            out[in_range] = self._bits[g[in_range]]
+            return out
 
     def is_painted_addr(self, addr: int) -> bool:
         return bool(self._bits[addr // GRANULE_BYTES])

@@ -95,21 +95,21 @@ class Batch:
         #: Leaders not yet settled (held ones included).
         self.outstanding = len(self.ready)
 
-    def gate_prefixes(self, epoch: int, store: PrefixStore | None = None) -> None:
+    def gate_prefixes(self, store: PrefixStore | None = None) -> None:
         """Hold each warm-start group behind its first ready leader.
 
-        Ready leaders whose prefix key at divergence ``epoch`` is shared
-        must not all cold-start at once: that would re-simulate the
-        shared warmup once per worker. The first of each group stays
-        ready (its run captures the prefix); the rest leave
-        :attr:`ready` until it settles. Groups whose prefix ``store``
-        already holds need no gate — every member forks at once.
+        Ready leaders that share a prefix key must not all cold-start at
+        once: that would re-simulate the shared warmup once per worker.
+        The first of each group stays ready (its run captures the
+        prefix); the rest leave :attr:`ready` until it settles. Groups
+        whose prefix ``store`` already holds need no gate — every member
+        forks at once.
         """
         groups: dict[str, list[int]] = {}
         for i in self.ready:
             if not prefix_eligible(self.jobs[i]):
                 continue
-            key = prefix_key(self.jobs[i], epoch)
+            key = prefix_key(self.jobs[i])
             if store is not None and key in store:
                 continue
             groups.setdefault(key, []).append(i)

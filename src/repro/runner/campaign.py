@@ -24,7 +24,6 @@ Extensions register more with :func:`register_workload`.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -189,10 +188,6 @@ def job_trace_slug(job: Job) -> str:
     return f"{human}-{digest}"
 
 
-#: Checkpoint cadence for runner-managed snapshots: every epoch close
-#: under a revoker, every this-many work-unit polls under NONE.
-_SNAPSHOT_EVERY_CHECKS = 256
-
 #: How the last executed job in this process came by its result:
 #: ``"hit"`` (forked from a stored prefix) or ``"capture"`` (ran cold and
 #: stored the prefix). Module-global so the pool worker can ship it back
@@ -227,15 +222,14 @@ def prefix_eligible(job: Job) -> bool:
     return bool(getattr(workload, "supports_snapshot", False))
 
 
-def _run_warm(
-    job: Job, workload: Workload, fingerprint: str, env: Settings
-) -> RunResult | None:
+def _run_warm(job: Job, workload: Workload, env: Settings) -> RunResult:
     """The warm-start path: fork this job off its group's stored prefix,
-    or run cold while capturing the prefix for the rest of the group.
-    Returns None when a stored prefix exists but cannot be used (corrupt,
-    stale format, tracer mismatch) — the caller then runs cold."""
+    or run cold while capturing the prefix for the rest of the group. A
+    stored prefix that cannot be used (corrupt, stale format, tracer
+    mismatch) is discarded, and this run captures its replacement."""
     from repro.core.simulation import Simulation
     from repro.errors import SnapshotError
+    from repro.runner.cache import job_fingerprint
     from repro.snapshot import SnapshotSession
     from repro.snapshot.prefix import (
         PrefixStore,
@@ -245,26 +239,25 @@ def _run_warm(
     )
 
     store = PrefixStore(env.prefix_dir)
-    epoch = env.prefix_epoch
-    key = prefix_key(job, epoch)
+    key = prefix_key(job)
     data = store.get(key)
     if data is not None:
         try:
             sim, _header = fork_simulation(data, job.revoker)
-            result = sim.resume()
         except SnapshotError:
-            # Corrupt, truncated, or incompatible prefix: recompute from
-            # scratch rather than resume wrong state.
-            return None
-        _note_warm_start("hit")
-        return result
+            # Never resume wrong state; left in place, the bad blob would
+            # also keep the batch gate from ever recapturing this group.
+            store.discard(key)
+        else:
+            _note_warm_start("hit")
+            return sim.resume()
 
     sim = Simulation(workload, build_config(job))
-    session = SnapshotSession(sim, prefix_plan(epoch))
-    session.header_extra["job_fingerprint"] = fingerprint
+    session = SnapshotSession(sim, prefix_plan())
+    session.header_extra["job_fingerprint"] = job_fingerprint(job)
     session.header_extra["prefix_key"] = key
     result = sim.run(snapshots=session)
-    # Captures are buffered, not sunk per rung: only the deepest capture
+    # Captures are buffered, not stored per rung: only the deepest capture
     # of the staged ladder is worth keeping, and put_if_absent means two
     # runs racing on one prefix can never double-store it.
     if session.captured and store.put_if_absent(key, session.captured[-1]):
@@ -273,77 +266,14 @@ def _run_warm(
 
 
 def _run_job(job: Job, env: Settings) -> RunResult:
-    """Run — or, given a matching checkpoint or warm-start prefix,
-    resume — one job's simulation. The determinism contract
-    (docs/SNAPSHOT.md, docs/WARMSTART.md) makes the three
-    indistinguishable from the result side.
-
-    Precedence: a further-along matching per-job checkpoint
-    (``REPRO_SNAPSHOT_DIR``) wins over a prefix fork; otherwise warm-start
-    (``REPRO_PREFIX_DIR``) wins over per-epoch checkpointing — a run can
-    only carry one snapshot session, and the prefix capture is the one
-    the rest of the group is waiting on."""
+    """Run one job's simulation: warm-started (docs/WARMSTART.md) when
+    ``REPRO_PREFIX_DIR`` is set and the job is eligible, else plain. The
+    determinism contract makes the two indistinguishable from the result
+    side."""
     workload = job.workload.build()
-    snap_dir = env.snapshot_dir
-    warm = prefix_store_dir(env) is not None and prefix_eligible(job)
-    if snap_dir is None and not warm:
-        return run_experiment(workload, job.revoker, build_config(job))
-
-    from repro.core.simulation import Simulation
-    from repro.errors import SnapshotError
-    from repro.obs.tracer import TRACER
-    from repro.runner.cache import job_fingerprint
-    from repro.snapshot import (
-        SnapshotPlan,
-        SnapshotSession,
-        read_header,
-        restore_simulation,
-    )
-
-    fingerprint = job_fingerprint(job)
-
-    if snap_dir is not None:
-        path = snap_dir / f"{job_trace_slug(job)}.ckpt"
-        tmp = path.with_name(path.name + ".tmp")
-
-        def sink(blob: bytes, header: Mapping[str, Any]) -> None:
-            # Atomic replace: a crash mid-write leaves the previous
-            # (valid) checkpoint; the trailing digest catches anything
-            # else.
-            snap_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-
-        if path.exists():
-            data = path.read_bytes()
-            try:
-                header = read_header(data)
-                if (
-                    header.get("job_fingerprint") == fingerprint
-                    and header.get("traced") == TRACER.enabled
-                ):
-                    sim, _ = restore_simulation(data, sink=sink)
-                    return sim.resume()
-            except SnapshotError:
-                # Stale, corrupt, or truncated checkpoint: recompute from
-                # scratch rather than resume wrong state.
-                pass
-
-    if warm:
-        result = _run_warm(job, workload, fingerprint, env)
-        if result is not None:
-            return result
-
-    if snap_dir is None or not getattr(workload, "supports_snapshot", False):
-        return run_experiment(workload, job.revoker, build_config(job))
-    sim = Simulation(workload, build_config(job))
-    session = SnapshotSession(
-        sim,
-        SnapshotPlan(every_epochs=1, every_checks=_SNAPSHOT_EVERY_CHECKS),
-        sink=sink,
-    )
-    session.header_extra["job_fingerprint"] = fingerprint
-    return sim.run(snapshots=session)
+    if prefix_store_dir(env) is not None and prefix_eligible(job):
+        return _run_warm(job, workload, env)
+    return run_experiment(workload, job.revoker, build_config(job))
 
 
 def execute_job(job: Job) -> RunResult:
@@ -352,10 +282,7 @@ def execute_job(job: Job) -> RunResult:
 
     With ``REPRO_TRACE_DIR`` set, the run records a structured trace and
     writes it as ``<dir>/<slug>.jsonl`` (cache hits skip execution and so
-    produce no artifact — trace campaigns with ``--no-cache``). With
-    ``REPRO_SNAPSHOT_DIR`` set, snapshot-capable jobs checkpoint at every
-    epoch close and resume from ``<dir>/<slug>.ckpt`` when one matching
-    the job fingerprint is present."""
+    produce no artifact — trace campaigns with ``--no-cache``)."""
     env = Settings.from_env()
     trace_dir = env.trace_dir
     if trace_dir is None:

@@ -210,7 +210,7 @@ def run_jobs(
     batch = Batch(jobs, cache=cache, progress=progress)
     root = prefix_store_dir(env)
     if root is not None:
-        batch.gate_prefixes(env.prefix_epoch, PrefixStore(root))
+        batch.gate_prefixes(PrefixStore(root))
     pending: Sequence[int] = batch.ready
     if pending and max_workers > 1:
         pending = _run_pooled(batch, max_workers, timeout_s)

@@ -96,12 +96,6 @@ class ServeConfig:
     cache_dir: str | Path | None = None
     no_cache: bool = False
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES
-    #: Directory for per-job checkpoints (``$REPRO_SNAPSHOT_DIR`` when
-    #: unset). Snapshot-capable jobs then checkpoint at epoch closes, so
-    #: a request retried after a crash or timeout resumes from the dead
-    #: process's last checkpoint, and repeated fresh executions of a
-    #: fingerprint warm-start from the previous run's final checkpoint.
-    snapshot_dir: str | Path | None = None
     #: Directory for the warm-start prefix store (``$REPRO_PREFIX_DIR``
     #: when unset; see docs/WARMSTART.md). Jobs then pre-warm hot
     #: prefixes organically: the first fresh run of a sweep group
@@ -112,8 +106,6 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         env = Settings.from_env()
-        if self.snapshot_dir is None and env.snapshot_dir is not None:
-            self.snapshot_dir = str(env.snapshot_dir)
         if self.prefix_dir is None and env.prefix_dir is not None:
             self.prefix_dir = str(env.prefix_dir)
         if self.socket_path and self.host:
@@ -199,12 +191,11 @@ class SimulationServer:
         self._shutdown = asyncio.Event()
         self._queue = asyncio.Queue()
         self._started = loop.time()
-        # The environment at start plus this daemon's snapshot/prefix
-        # dirs, handed to each job process instead of exported, so
-        # daemons sharing one process keep their own stores.
-        snapshot_dir, prefix_dir = self.cfg.snapshot_dir, self.cfg.prefix_dir
+        # The environment at start plus this daemon's prefix dir, handed
+        # to each job process instead of exported, so daemons sharing one
+        # process keep their own stores.
+        prefix_dir = self.cfg.prefix_dir
         self._job_env = Settings.from_env().replace(
-            snapshot_dir=Path(snapshot_dir) if snapshot_dir is not None else None,
             prefix_dir=Path(prefix_dir) if prefix_dir is not None else None,
         )
         self._slots = [

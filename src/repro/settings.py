@@ -8,7 +8,7 @@ job, never per simulated event, never at construction time — so tests
 can flip a knob per-case with ``monkeypatch.setenv`` and job processes
 see what their parent exported before forking them.
 
-:class:`Settings` is the 12 knobs as one frozen, typed value:
+:class:`Settings` is the 10 knobs as one frozen, typed value:
 
 - :meth:`Settings.from_env` is the single parse point (validation and
   typed defaults included) — call it with no argument for the process
@@ -38,9 +38,7 @@ The knobs:
 ``REPRO_JOB_TIMEOUT``    seconds per pooled job (none)
 ``REPRO_CACHE_DIR``      result cache root (~/.cache/repro/results)
 ``REPRO_TRACE_DIR``      per-job observability trace artifacts (off)
-``REPRO_SNAPSHOT_DIR``   per-job checkpoint artifacts (off)
 ``REPRO_PREFIX_DIR``     warm-start prefix store (off)
-``REPRO_PREFIX_EPOCH``   warm-start divergence epoch (0)
 ``REPRO_PROGRESS``       stream per-job progress lines (off)
 ``REPRO_SERVE_WORKERS``  serve daemon concurrent job processes (2)
 ``REPRO_SERVE_QUEUE``    serve admission bound (64)
@@ -134,11 +132,7 @@ FIELDS: dict[str, _Field] = {
     "job_timeout_s": _Field("REPRO_JOB_TIMEOUT", _parse_timeout, None, _str_plain),
     "cache_dir": _Field("REPRO_CACHE_DIR", _parse_path, None, _str_plain),
     "trace_dir": _Field("REPRO_TRACE_DIR", _parse_path, None, _str_plain),
-    "snapshot_dir": _Field("REPRO_SNAPSHOT_DIR", _parse_path, None, _str_plain),
     "prefix_dir": _Field("REPRO_PREFIX_DIR", _parse_path, None, _str_plain),
-    "prefix_epoch": _Field(
-        "REPRO_PREFIX_EPOCH", lambda v, r: _parse_int(v, r, 0), 0, _str_plain
-    ),
     "progress": _Field("REPRO_PROGRESS", _parse_flag, False, _str_flag),
     "serve_workers": _Field(
         "REPRO_SERVE_WORKERS", lambda v, r: _parse_int(v, r, 1), 2, _str_plain,
@@ -180,9 +174,7 @@ class Settings:
     job_timeout_s: float | None = None
     cache_dir: Path | None = None
     trace_dir: Path | None = None
-    snapshot_dir: Path | None = None
     prefix_dir: Path | None = None
-    prefix_epoch: int = 0
     progress: bool = False
     serve_workers: int = 2
     serve_queue: int = 64
@@ -194,10 +186,6 @@ class Settings:
         # environment or from code constructing Settings directly.
         if self.jobs < 0:
             raise ConfigError(f"REPRO_JOBS must be >= 0, got {self.jobs}")
-        if self.prefix_epoch < 0:
-            raise ConfigError(
-                f"REPRO_PREFIX_EPOCH must be >= 0, got {self.prefix_epoch}"
-            )
         if self.serve_workers < 1:
             raise ConfigError(
                 f"REPRO_SERVE_WORKERS must be >= 1, got {self.serve_workers}"

@@ -13,7 +13,7 @@ See docs/SNAPSHOT.md. The public surface:
 The determinism contract: ``restore_simulation(blob)[0].resume()``
 produces a ``RunResult`` bit-identical to the straight-through run that
 wrote ``blob``, for every revoker, traced or not. Warm-start forking
-extends it across revokers at divergence epoch 0: ``fork_simulation``
+extends it across revokers before the first epoch: ``fork_simulation``
 retargets an epoch-0 prefix to any revoking strategy and the resumed
 result stays bit-identical to that strategy's cold run.
 """
@@ -35,7 +35,7 @@ from repro.snapshot.prefix import (
     prefix_store_dir,
     retarget_revoker,
 )
-from repro.snapshot.session import SnapshotPlan, SnapshotSession, SnapshotSink
+from repro.snapshot.session import SnapshotPlan, SnapshotSession
 
 __all__ = [
     "FORMAT_VERSION",
@@ -43,7 +43,6 @@ __all__ = [
     "PrefixStore",
     "SnapshotPlan",
     "SnapshotSession",
-    "SnapshotSink",
     "capture_simulation",
     "default_prefix_dir",
     "fork_simulation",

@@ -32,7 +32,6 @@ from repro.snapshot.format import pack_checkpoint, unpack_checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.core.simulation import Simulation
-    from repro.snapshot.session import SnapshotSink
 
 
 def capture_simulation(sim: "Simulation") -> tuple[bytes, dict[str, Any]]:
@@ -87,14 +86,12 @@ def capture_simulation(sim: "Simulation") -> tuple[bytes, dict[str, Any]]:
     return pack_checkpoint(header, payload), header
 
 
-def restore_simulation(
-    data: bytes, sink: "SnapshotSink | None" = None
-) -> tuple["Simulation", dict[str, Any]]:
+def restore_simulation(data: bytes) -> tuple["Simulation", dict[str, Any]]:
     """Rebuild a quiescent simulation from a checkpoint blob.
 
-    Returns ``(sim, header)``; continue it with ``sim.resume()``. ``sink``
-    re-arms checkpoint file delivery on the restored session (the resumed
-    run keeps checkpointing on the original cadence).
+    Returns ``(sim, header)``; continue it with ``sim.resume()``. The
+    resumed run keeps capturing on the original cadence into the
+    restored session's ``captured`` and ``headers``.
     """
     header, payload = unpack_checkpoint(data)
     if header.get("format") != "repro-checkpoint":
@@ -138,9 +135,7 @@ def restore_simulation(
             sim.machine.cores[rc], sched.cores[rc]
         )
 
-    session = sim._snapshots
-    if session is None:
+    if sim._snapshots is None:
         raise SnapshotError("checkpoint is missing its snapshot session")
-    session.attach_sink(sink)
     sim._restored = True
     return sim, header

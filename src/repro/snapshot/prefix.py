@@ -9,25 +9,23 @@ sibling job from the checkpoint instead of cold-simulating it: the
 simulator-world analogue of prefix/KV caching in an inference stack.
 
 A prefix is a content-addressed checkpoint keyed by everything that
-determines the simulation *up to the divergence epoch*:
+determines the simulation *before the first revocation epoch*:
 
 - the workload spec (builder kind + every parameter, seed included);
 - the declarative config overrides (machine shape, quarantine policy);
-- the divergence epoch, and at epochs >= 1 the revoker (post-epoch state
-  is strategy-specific: cache contents, epoch records, fault counters);
 - the simulation code fingerprint (:func:`repro.runner.cache
   .code_fingerprint`) and the checkpoint/result format versions;
 - whether the run is traced (tracer state travels inside checkpoints and
   restore refuses a mismatch).
 
-At divergence epoch 0 the key deliberately omits the revoker: revoker
-construction has no machine side effects, and no strategy-specific cost
-can occur before the first epoch (a load-generation fault needs a
-generation flip), so one epoch-0 blob serves **all four** revoking
-strategies. :func:`fork_simulation` restores the blob and — when the
-target strategy differs from the captured one — swaps in a fresh revoker
-of the target class before resuming (:func:`retarget_revoker`). The NONE
-baseline runs a different allocator shim and is never warm-started.
+The key deliberately omits the revoker: revoker construction has no
+machine side effects, and no strategy-specific cost can occur before the
+first epoch (a load-generation fault needs a generation flip), so one
+blob serves **all four** revoking strategies. :func:`fork_simulation`
+restores the blob and — when the target strategy differs from the
+captured one — swaps in a fresh revoker of the target class before
+resuming (:func:`retarget_revoker`). The NONE baseline runs a different
+allocator shim and is never warm-started.
 
 Storage mirrors :class:`repro.runner.cache.ResultCache`: one file per
 prefix under ``<root>/objects/<aa>/<key>.ckpt``, written through a
@@ -75,19 +73,13 @@ def prefix_store_dir(env: Settings | None = None) -> Path | None:
     """Where warm-start prefixes live (``$REPRO_PREFIX_DIR``, or
     ``env.prefix_dir`` when the caller already read its settings), or
     None when warm-starting is off. Inherited by pool and serve job
-    processes, the same way trace/snapshot artifact dirs are."""
+    processes, the same way the trace artifact dir is."""
     return (env or Settings.from_env()).prefix_dir
 
 
-def prefix_key(
-    job: "Job", divergence_epoch: int = 0, code_version: str | None = None
-) -> str:
-    """The content address of one job's warm-start prefix.
-
-    Jobs that differ only in revoker share a key at divergence epoch 0;
-    at later epochs the revoker is part of the key (the prefix itself is
-    strategy-specific past the first epoch).
-    """
+def prefix_key(job: "Job", code_version: str | None = None) -> str:
+    """The content address of one job's warm-start prefix. Jobs that
+    differ only in revoker share it."""
     from repro.runner.cache import code_fingerprint
     from repro.runner.serialize import (
         FORMAT_VERSION as RESULT_FORMAT_VERSION,
@@ -100,16 +92,10 @@ def prefix_key(
             "the none revoker runs a different allocator shim and has no "
             "shared prefix with the revoking strategies"
         )
-    if divergence_epoch < 0:
-        raise SnapshotError(
-            f"divergence epoch must be >= 0, got {divergence_epoch}"
-        )
     material = {
         "kind": "warm-start-prefix",
         "workload": job.workload.to_dict(),
         "config": dict(job.config),
-        "epoch": divergence_epoch,
-        "family": "mrs" if divergence_epoch == 0 else job.revoker.value,
         "code": code_version if code_version is not None else code_fingerprint(),
         "snapshot_format": FORMAT_VERSION,
         "result_format": RESULT_FORMAT_VERSION,
@@ -118,22 +104,17 @@ def prefix_key(
     return hashlib.sha256(canonical_json(material).encode()).hexdigest()
 
 
-def prefix_plan(
-    divergence_epoch: int = 0, fraction: float = PREFIX_FRACTION
-) -> SnapshotPlan:
-    """The capture cadence for one prefix: the staged epoch-0 ladder
-    (the run buffers every rung and keeps the deepest; see
-    ``SnapshotPlan.prefix_fraction``), or a single checkpoint at the
-    divergence epoch's close for epochs >= 1."""
-    if divergence_epoch == 0:
-        return SnapshotPlan(prefix_fraction=fraction)
-    return SnapshotPlan(every_epochs=divergence_epoch, max_captures=1)
+def prefix_plan() -> SnapshotPlan:
+    """The capture cadence for one prefix: the staged epoch-0 ladder (the
+    run buffers every rung and keeps the deepest; see
+    ``SnapshotPlan.prefix_fraction``)."""
+    return SnapshotPlan(prefix_fraction=PREFIX_FRACTION)
 
 
 def retarget_revoker(sim: "Simulation", kind: RevokerKind) -> None:
     """Swap a restored simulation's revocation strategy for ``kind``.
 
-    Only sound at divergence epoch 0 — before the first epoch a revoker
+    Only sound before the first epoch — until then a revoker
     instance carries no history (empty records, zero fault counters) and
     no strategy-specific cost has been charged to the machine, so a fresh
     instance of the target class is observationally identical to having
@@ -160,7 +141,7 @@ def retarget_revoker(sim: "Simulation", kind: RevokerKind) -> None:
         or (old is not None and old.records)
     ):
         raise SnapshotError(
-            "cross-revoker forking is only sound at divergence epoch 0 "
+            "cross-revoker forking is only sound before the first epoch "
             "(the checkpoint already contains strategy-specific state)"
         )
     new = _REVOKER_CLASSES[kind](
@@ -180,8 +161,8 @@ def fork_simulation(
 ) -> "tuple[Simulation, dict[str, Any]]":
     """Restore a prefix blob and point it at ``kind``; continue with
     ``sim.resume()``. With ``kind`` equal to the captured strategy this
-    is a plain restore (valid at any divergence epoch); a different
-    revoking strategy additionally requires an epoch-0 prefix."""
+    is a plain restore (valid at any epoch); a different revoking
+    strategy additionally requires an epoch-0 blob."""
     sim, header = restore_simulation(data)
     retarget_revoker(sim, kind)
     return sim, header
@@ -214,7 +195,8 @@ class PrefixStore:
         """The stored prefix blob, or None on miss. Integrity is the
         caller's problem: :func:`repro.snapshot.read_header` and the
         container's trailing digest reject truncated or corrupt blobs,
-        and the runner falls back to a cold run on any SnapshotError."""
+        and the runner discards a blob it cannot fork and captures a new
+        one."""
         try:
             return self._path_of(key).read_bytes()
         except OSError:
@@ -246,6 +228,14 @@ class PrefixStore:
                 os.unlink(tmp)
             except OSError:  # pragma: no cover - tmp already gone
                 pass
+
+    def discard(self, key: str) -> None:
+        """Remove the prefix under ``key``, if any (an unusable blob must
+        not outlive the run that found it)."""
+        try:
+            self._path_of(key).unlink()
+        except OSError:
+            pass
 
     def __contains__(self, key: str) -> bool:
         return self._path_of(key).exists()

@@ -10,24 +10,20 @@ controller idle between epochs), captures, then signals the barrier with
 ``at_time=0`` — a pure no-op on every wake floor, so enabling snapshots
 does not perturb the schedule.
 
-In-memory captures and the file sink are deliberately *not* pickled:
-a checkpoint must not contain earlier checkpoints, and a restored session
-only writes files if the restorer re-arms a sink.
+In-memory captures are deliberately *not* pickled: a checkpoint must
+not contain earlier checkpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import SnapshotError
 from repro.machine.scheduler import Event, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.core.simulation import Simulation
-
-#: Sink signature: called with (checkpoint blob, header dict) per capture.
-SnapshotSink = Callable[[bytes, dict], Any]
 
 #: Prefix-mode capture ladder, as multipliers of ``prefix_fraction x
 #: trigger limit``. Stage 0 captures at the first quiescent poll (so a
@@ -90,12 +86,7 @@ class SnapshotPlan:
 class SnapshotSession:
     """Live snapshot state for one simulation run."""
 
-    def __init__(
-        self,
-        sim: "Simulation",
-        plan: SnapshotPlan,
-        sink: SnapshotSink | None = None,
-    ) -> None:
+    def __init__(self, sim: "Simulation", plan: SnapshotPlan) -> None:
         self.sim = sim
         self.plan = plan
         self.barrier = Event("snapshot-barrier")
@@ -124,7 +115,6 @@ class SnapshotSession:
         #: Blobs captured this process (value copies; never pickled).
         self.captured: list[bytes] = []
         self.headers: list[dict] = []
-        self._sink = sink
 
     # --- Workload-facing ----------------------------------------------------
 
@@ -205,13 +195,6 @@ class SnapshotSession:
     def deliver(self, blob: bytes, header: dict) -> None:
         self.captured.append(blob)
         self.headers.append(header)
-        if self._sink is not None:
-            self._sink(blob, header)
-
-    def attach_sink(self, sink: SnapshotSink | None) -> None:
-        """Re-arm file delivery on a restored session (sinks are process
-        resources and never travel inside a checkpoint)."""
-        self._sink = sink
 
     # --- Pickling -----------------------------------------------------------
 
@@ -219,5 +202,4 @@ class SnapshotSession:
         state = self.__dict__.copy()
         state["captured"] = []
         state["headers"] = []
-        state["_sink"] = None
         return state

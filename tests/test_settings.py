@@ -9,7 +9,9 @@ Covers the consolidation contract from docs/API.md:
 - the historical per-variable semantics preserved (empty string unsets
   most vars but is a loud parse error for the count knobs);
 - the grep lint: no direct `REPRO_*` environ reads anywhere in
-  src/repro outside settings.py.
+  src/repro outside settings.py;
+- the docs lint: every `REPRO_*` name the docs, the sources and CI
+  mention is a knob something still reads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro import settings
 from repro.errors import ConfigError
 from repro.settings import FIELDS, MANAGED_VARS, Settings
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 class TestDefaults:
@@ -39,7 +42,7 @@ class TestDefaults:
         for name, decl in FIELDS.items():
             assert decl.var.startswith("REPRO_")
             assert hasattr(s, name)
-        assert len(MANAGED_VARS) == len(FIELDS) == 12
+        assert len(MANAGED_VARS) == len(FIELDS) == 10
 
 
 class TestParsing:
@@ -49,13 +52,13 @@ class TestParsing:
             "REPRO_JOB_TIMEOUT": "2.5",
             "REPRO_CACHE_DIR": "/tmp/c",
             "REPRO_PROGRESS": "1",
-            "REPRO_PREFIX_EPOCH": "3",
+            "REPRO_SERVE_WORKERS": "3",
         })
         assert s.jobs == 4
         assert s.job_timeout_s == 2.5
         assert s.cache_dir == Path("/tmp/c")
         assert s.progress is True
-        assert s.prefix_epoch == 3
+        assert s.serve_workers == 3
 
     def test_bad_int_is_loud(self):
         with pytest.raises(ConfigError, match="REPRO_JOBS='three' is not an integer"):
@@ -72,17 +75,16 @@ class TestParsing:
             Settings.from_env({"REPRO_JOBS": "-1"})
         with pytest.raises(ConfigError, match="REPRO_SERVE_WORKERS must be >= 1"):
             Settings.from_env({"REPRO_SERVE_WORKERS": "0"})
-        with pytest.raises(ConfigError, match="REPRO_PREFIX_EPOCH must be >= 0"):
-            Settings(prefix_epoch=-2)
+        with pytest.raises(ConfigError, match="REPRO_SERVE_QUEUE must be >= 1"):
+            Settings(serve_queue=0)
 
     def test_empty_string_unsets_most_vars(self):
-        # Historical semantics: VAR="" means "unset" for paths, flags,
-        # timeouts, and the epoch...
+        # Historical semantics: VAR="" means "unset" for paths, flags
+        # and timeouts...
         s = Settings.from_env({
             "REPRO_CACHE_DIR": "",
             "REPRO_JOB_TIMEOUT": "",
             "REPRO_PROGRESS": "",
-            "REPRO_PREFIX_EPOCH": "",
         })
         assert s == Settings()
 
@@ -105,9 +107,7 @@ def _settings_strategy():
         job_timeout_s=timeouts,
         cache_dir=paths,
         trace_dir=paths,
-        snapshot_dir=paths,
         prefix_dir=paths,
-        prefix_epoch=st.integers(min_value=0, max_value=9),
         progress=st.booleans(),
         serve_workers=st.integers(min_value=1, max_value=16),
         serve_queue=st.integers(min_value=1, max_value=256),
@@ -254,3 +254,25 @@ class TestLint:
             if pattern.search(path.read_text()):
                 offenders.append(str(path.relative_to(SRC)))
         assert offenders == []
+
+    def test_docs_name_only_live_knobs(self):
+        """A deleted knob leaves no mention behind: every REPRO_* name in
+        the README, docs/, the sources and CI is a Settings variable or
+        one the benchmark harness reads. CHANGES.md and ROADMAP.md are
+        history and stay out of the scan."""
+        harness = (ROOT / "benchmarks" / "_harness.py").read_text()
+        live = set(MANAGED_VARS) | set(
+            re.findall(r"environ\.get\(\s*[\"'](REPRO_[A-Z][A-Z_]*)", harness)
+        )
+        scanned = [
+            ROOT / "README.md",
+            *(ROOT / "docs").glob("*.md"),
+            *(ROOT / "src").rglob("*.py"),
+            *(p for p in (ROOT / ".github").rglob("*") if p.is_file()),
+        ]
+        dead = {}
+        for path in scanned:
+            for name in re.findall(r"REPRO_[A-Z][A-Z_]*", path.read_text()):
+                if name not in live:
+                    dead.setdefault(name, str(path.relative_to(ROOT)))
+        assert dead == {}

@@ -10,7 +10,6 @@ protocol persist.
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
@@ -204,13 +203,11 @@ def test_resumed_run_keeps_checkpointing():
     session = sim._snapshots
     assert session.sequence >= 2
     first = session.captured[0]
-    delivered = []
-    restored, _ = restore_simulation(
-        first, sink=lambda blob, header: delivered.append(header)
-    )
+    restored, _ = restore_simulation(first)
     restored.resume()
     # The resumed run continues the capture sequence from where the
     # checkpoint left off (sequence numbers 2, 3, ... of the original).
+    delivered = restored._snapshots.headers
     assert delivered
     assert [h["sequence"] for h in delivered] == list(
         range(2, 2 + len(delivered))
@@ -223,9 +220,8 @@ def test_checkpoint_does_not_nest_captures():
     sim.run(snapshots=plan_for(RevokerKind.RELOADED))
     session = sim._snapshots
     restored, _ = restore_simulation(session.captured[-1])
-    # In-memory blobs and the sink must not travel inside a checkpoint.
+    # In-memory blobs must not travel inside a checkpoint.
     assert restored._snapshots.captured == []
-    assert restored._snapshots._sink is None
 
 
 def test_simulation_cannot_run_twice_even_with_snapshots():
@@ -250,91 +246,6 @@ def test_max_captures_bounds_the_session():
     assert result_to_dict(snapped) == result_to_dict(plain)
 
 
-# --- Runner wiring: the killed-job scenario ---------------------------------
-
-
-def _runner_job(scale: int = 4096):
-    from repro.runner.campaign import Job, WorkloadSpec
-
-    return Job(
-        workload=WorkloadSpec(
-            "spec",
-            {"benchmark": "hmmer", "input": "retro", "scale": scale, "seed": 3},
-        ),
-        revoker=RevokerKind.RELOADED,
-        config={"machine": {"memory_bytes": MEMORY_BYTES}},
-    )
-
-
-def test_pool_job_resumes_from_checkpoint(tmp_path, monkeypatch):
-    """The crashed-job scenario: a worker died after writing checkpoints;
-    the retry (same job, same REPRO_SNAPSHOT_DIR) must resume from the
-    last checkpoint — observably, via the restore path — and produce the
-    exact full-run result without recomputing completed epochs."""
-    import repro.runner.campaign as campaign_mod
-    from repro.runner.campaign import execute_job, job_trace_slug
-
-    job = _runner_job()
-    snap_dir = tmp_path / "snaps"
-    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(snap_dir))
-
-    # First execution: runs fresh, leaves its last checkpoint behind.
-    full = result_to_dict(execute_job(job))
-    ckpt = snap_dir / f"{job_trace_slug(job)}.ckpt"
-    assert ckpt.exists()
-    header = read_header(ckpt.read_bytes())
-    from repro.runner.cache import job_fingerprint
-
-    assert header["job_fingerprint"] == job_fingerprint(job)
-
-    # Rerun the "retried after a crash" scenario and verify the restore
-    # path was taken and completed epochs were skipped.
-    calls = []
-    import repro.snapshot.capture as capture_mod
-
-    original = capture_mod.restore_simulation
-
-    def spying_restore(data, sink=None):
-        sim, header = original(data, sink=sink)
-        calls.append(header["epoch"])
-        return sim, header
-
-    monkeypatch.setattr(capture_mod, "restore_simulation", spying_restore)
-    # _run_job imports from repro.snapshot, whose name re-exports the
-    # capture function; patch that binding too.
-    import repro.snapshot as snapshot_pkg
-
-    monkeypatch.setattr(snapshot_pkg, "restore_simulation", spying_restore)
-
-    resumed = result_to_dict(execute_job(job))
-    assert calls, "retry did not take the resume path"
-    assert calls[0] >= 1, "resume started from epoch 0 (recomputed everything)"
-    assert resumed == full
-
-
-def test_stale_checkpoint_is_ignored(tmp_path, monkeypatch):
-    from repro.runner.campaign import execute_job, job_trace_slug
-
-    job = _runner_job()
-    snap_dir = tmp_path / "snaps"
-    snap_dir.mkdir()
-    path = snap_dir / f"{job_trace_slug(job)}.ckpt"
-    path.write_bytes(b"garbage that is not a checkpoint at all")
-    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(snap_dir))
-    result = execute_job(job)  # must fall back to a fresh run
-    assert result.wall_cycles > 0
-    # ...and replace the garbage with a real checkpoint.
-    read_header(path.read_bytes())
-
-
-def test_snapshot_dir_off_means_no_files(tmp_path, monkeypatch):
-    from repro.runner.campaign import execute_job
-
-    monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
-    execute_job(_runner_job())
-    assert list(tmp_path.iterdir()) == []
-
-
 # --- serve-bench seed-base regression ---------------------------------------
 
 
@@ -356,14 +267,3 @@ def test_fresh_jobs_explicit_seed_base_is_honored():
 
     jobs = fresh_jobs(3, 512, seed_base=42)
     assert [j["workload"]["params"]["seed"] for j in jobs] == [42, 43, 44]
-
-
-def test_serve_config_snapshot_dir_env_fallback(monkeypatch):
-    from repro.serve.server import ServeConfig
-
-    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", "/tmp/snapdir")
-    cfg = ServeConfig(socket_path="/tmp/s.sock")
-    assert cfg.snapshot_dir == "/tmp/snapdir"
-    monkeypatch.delenv("REPRO_SNAPSHOT_DIR")
-    cfg = ServeConfig(socket_path="/tmp/s.sock")
-    assert cfg.snapshot_dir is None

@@ -66,17 +66,9 @@ class TestPrefixKey:
         keys = {prefix_key(_job(kind)) for kind in REVOKING}
         assert len(keys) == 1
 
-    def test_revoker_splits_the_key_past_epoch_zero(self):
-        keys = {prefix_key(_job(kind), divergence_epoch=2) for kind in REVOKING}
-        assert len(keys) == len(REVOKING)
-
     def test_none_has_no_prefix(self):
         with pytest.raises(SnapshotError):
             prefix_key(_job(RevokerKind.NONE))
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(SnapshotError):
-            prefix_key(_job(RevokerKind.RELOADED), divergence_epoch=-1)
 
     def test_workload_seed_and_config_participate(self):
         base = prefix_key(_job(RevokerKind.RELOADED))
@@ -131,7 +123,7 @@ class TestPrefixStore:
 class TestFork:
     def _prefix_blob(self, leader=RevokerKind.PAINT_SYNC):
         sim = _build(leader)
-        session = SnapshotSession(sim, prefix_plan(0))
+        session = SnapshotSession(sim, prefix_plan())
         result = sim.run(snapshots=session)
         assert session.captured, "prefix capture window missed"
         return session.captured[-1], dumps_result(result)
@@ -196,7 +188,12 @@ class TestExecuteJobWarmStart:
         key = prefix_key(_job(RevokerKind.RELOADED))
         store.put_if_absent(key, b"RPRSNAP garbage that is not a checkpoint")
         assert dumps_result(execute_job(_job(RevokerKind.RELOADED))) == cold
-        assert pop_warm_start_note() is None
+        # The unusable blob is replaced by this run's capture, so the
+        # group warm-starts again instead of running cold for good.
+        assert pop_warm_start_note() == "capture"
+        assert read_header(store.get(key))["prefix_key"] == key
+        execute_job(_job(RevokerKind.CORNUCOPIA))
+        assert pop_warm_start_note() == "hit"
 
 
 class TestRunJobsWarmStart:
@@ -255,7 +252,7 @@ class TestWarmStartSaving:
         cold_cycles = sum(r.wall_cycles for r in cold.values())
 
         leader = self._build(REVOKING[0])
-        session = SnapshotSession(leader, prefix_plan(0))
+        session = SnapshotSession(leader, prefix_plan())
         leader_result = leader.run(snapshots=session)
         assert session.captured, "the leader captured no prefix"
         blob, capture_wall = session.captured[-1], session.headers[-1]["wall"]
