@@ -114,9 +114,9 @@ def prefix_plan() -> SnapshotPlan:
 def retarget_revoker(sim: "Simulation", kind: RevokerKind) -> None:
     """Swap a restored simulation's revocation strategy for ``kind``.
 
-    Only sound before the first epoch — until then a revoker
-    instance carries no history (empty records, zero fault counters) and
-    no strategy-specific cost has been charged to the machine, so a fresh
+    Only sound before the first epoch — until then a revoker instance
+    carries no history (empty records, zero fault counters) and no
+    strategy-specific cost has been charged to the machine, so a fresh
     instance of the target class is observationally identical to having
     run under it from the start. The register files the kernel registered
     with the captured revoker are transplanted (the STW root scan must
